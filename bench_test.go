@@ -174,12 +174,10 @@ func BenchmarkRunComparisonWorkers(b *testing.B) {
 	}
 }
 
-// benchSession is the allocation trajectory the repo records in
-// BENCH_<n>.json: one emulated unicast session end to end (node selection,
+// benchSession is one emulated unicast session end to end (node selection,
 // rate control, coding, MAC) with allocs/op and B/op reported. The scenario
-// itself lives in internal/sessionbench so cmd/omnc-bench records exactly
-// this workload; the regression gate lives in internal/coding's and
-// internal/protocol's AllocsPerRun tests.
+// lives in internal/sessionbench, which TestSessionAllocCeilings holds to
+// its allocation ceilings on the same workload.
 func benchSession(b *testing.B, scenario int) {
 	s := sessionbench.Scenarios()[scenario]
 	nw, src, dst, err := sessionbench.Network()
@@ -208,9 +206,9 @@ func BenchmarkSessionMORE(b *testing.B) { benchSession(b, 1) }
 
 func BenchmarkSessionETX(b *testing.B) { benchSession(b, 2) }
 
-// benchSessionScheme measures one coding-scheme session (the scenario lives
-// in internal/sessionbench so cmd/omnc-bench records exactly this workload);
-// the allocs/op numbers prove the strategy layer rides the pooled arena.
+// benchSessionScheme measures one coding-scheme session (scenario in
+// internal/sessionbench); the allocs/op numbers prove the strategy layer
+// rides the pooled arena.
 func benchSessionScheme(b *testing.B, scenario int) {
 	s := sessionbench.SchemeScenarios()[scenario]
 	nw, src, dst, err := sessionbench.Network()
@@ -240,8 +238,8 @@ func BenchmarkSessionSchemeRLNCE2E(b *testing.B) { benchSessionScheme(b, 1) }
 func BenchmarkSessionSchemeRS(b *testing.B) { benchSessionScheme(b, 2) }
 
 // benchMultiSession measures the multi-unicast hot path: two sessions of one
-// protocol contending on a single shared engine and MAC (the scenario lives
-// in internal/sessionbench so cmd/omnc-bench records exactly this workload).
+// protocol contending on a single shared engine and MAC (scenario in
+// internal/sessionbench).
 func benchMultiSession(b *testing.B, scenario int) {
 	s := sessionbench.MultiScenarios()[scenario]
 	nw, _, _, err := sessionbench.Network()
@@ -272,10 +270,9 @@ func BenchmarkMultiSessionETX(b *testing.B) { benchMultiSession(b, 1) }
 
 // benchMultiSessionScaled measures the parallel-engine scaling workload:
 // sixteen sessions on radio-isolated strips with full-size 1 KB blocks,
-// identical emulated work at every worker count (the scenario lives in
-// internal/sessionbench so cmd/omnc-bench records exactly this workload in
-// BENCH_4.json). Compare the ns/op across the scenario ladder for the
-// serial-vs-parallel speedup; the reported bytes/s must not move.
+// identical emulated work at every worker count (scenario in
+// internal/sessionbench). Compare the ns/op across the scenario ladder for
+// the serial-vs-parallel speedup; the reported bytes/s must not move.
 func benchMultiSessionScaled(b *testing.B, scenario int) {
 	s := sessionbench.ScaledMultiScenarios()[scenario]
 	nw, sessions, err := sessionbench.ScaledNetwork()

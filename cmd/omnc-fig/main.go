@@ -44,7 +44,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 1, 2l, 2r, 3, 4, lpgap, all")
+		fig      = flag.String("fig", "all", "figure to regenerate: 1, 2l, 2r, 3, 4, lpgap, drift, multi, faults, schemes, all")
 		full     = flag.Bool("full", false, "paper scale (300 sessions x 800 s, 1 KB blocks)")
 		sessions = flag.Int("sessions", 0, "override session count")
 		duration = flag.Float64("duration", 0, "override emulated seconds per session")

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -168,7 +170,7 @@ func TestSubmitPriorityKnob(t *testing.T) {
 		t.Fatalf("POST: %d", resp.StatusCode)
 	}
 	resp2, err := http.Post(d.ts.URL+"/jobs?priority=7", "application/json",
-		strings.NewReader(`{"version":1,"kind":"bench","iters":1}`))
+		strings.NewReader(`{"version":1,"kind":"multi","sessions":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +249,13 @@ func TestJobPanicFailsJobNotDaemon(t *testing.T) {
 	d := startDaemonOpts(t, 1, func(s *server, q *jobs.Queue) {
 		inner := s.run
 		s.run = func(ctx context.Context, sp jobs.Spec, p *metrics.Progress) (*jobs.Result, error) {
-			if sp.Kind == jobs.KindBench {
+			if sp.Kind == jobs.KindMulti {
 				panic("synthetic experiment bug")
 			}
 			return inner(ctx, sp, p)
 		}
 	})
-	st, _ := d.post(t, `{"version":1,"kind":"bench","iters":1}`)
+	st, _ := d.post(t, `{"version":1,"kind":"multi","sessions":1}`)
 	deadline := time.Now().Add(time.Minute)
 	var fin jobStatus
 	for {
@@ -344,5 +346,37 @@ func TestRetrySucceedsAfterTransientFailure(t *testing.T) {
 	fin := d.waitDone(t, st.ID)
 	if fin.Attempts != 2 || fin.Run == "" || fin.Error != "" {
 		t.Fatalf("recovered job = %+v, want done at attempt 2 with a run and no error", fin.Job)
+	}
+}
+
+// TestRetiredKindInOldJournalFailsLoudly replays a journal captured verbatim
+// from the last build that had the bench kind: a pending bench job (with its
+// iters field) ahead of a topo job. The upgrade must degrade loudly, not
+// fatally — the daemon boots, the bench job fails terminally on its first
+// claim with the unknown-kind reason (no retry budget is spent on it), and
+// the job behind it runs with its journaled fields intact.
+func TestRetiredKindInOldJournalFailsLoudly(t *testing.T) {
+	const journal = `{"op":"submit","id":"j1","time":"2026-09-28T22:13:23.596781875Z","spec":{"version":1,"kind":"bench","iters":3}}
+{"op":"submit","id":"j2","time":"2026-09-28T22:13:23.597590531Z","spec":{"version":1,"kind":"topo","seed":3,"nodes":60,"density":6},"priority":-1}
+`
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "queue.jsonl"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemonAt(t, dir, 1, func(s *server, q *jobs.Queue) {
+		q.MaxRetries = 2
+		q.RetryBase = time.Millisecond
+	})
+	next := d.waitDone(t, "j2")
+	if next.Run == "" || next.Priority != -1 || next.Spec.Seed != 3 || next.Spec.Nodes != 60 {
+		t.Fatalf("job behind the retired kind drifted: %+v", next.Job)
+	}
+	var old jobStatus
+	d.get(t, "/jobs/j1", &old)
+	if old.State != jobs.JobFailed || old.Attempts != 1 {
+		t.Fatalf("retired-kind job = %+v, want failed at attempt 1", old.Job)
+	}
+	if !strings.Contains(old.Error, `unknown kind "bench"`) || !strings.Contains(old.Error, jobs.KindTopo) {
+		t.Fatalf("failure reason %q does not name the unknown kind and the valid ones", old.Error)
 	}
 }

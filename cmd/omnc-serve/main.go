@@ -2,9 +2,9 @@
 // crash-safe job queue, a bounded pool of experiment workers and a
 // content-addressed results store, behind a small JSON/HTTP API. Every
 // experiment the CLIs run (omnc-sim sessions, omnc-fig figures, omnc-topo
-// deployments, loopback drift sessions, benchmark recordings) is expressed
-// as the same versioned Spec, so a daemon job reproduces the CLI's output
-// byte for byte — same seeds, same artifacts.
+// deployments, loopback drift sessions) is expressed as the same versioned
+// Spec, so a daemon job reproduces the CLI's output byte for byte — same
+// seeds, same artifacts.
 //
 //	omnc-serve -addr 127.0.0.1:8377 -data ./omnc-data -jobs 2
 //

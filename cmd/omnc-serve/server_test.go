@@ -35,7 +35,13 @@ func startDaemon(t *testing.T) *testDaemon {
 // can tune retries or interpose fault injection race-free.
 func startDaemonOpts(t *testing.T, workers int, configure func(s *server, q *jobs.Queue)) *testDaemon {
 	t.Helper()
-	dir := t.TempDir()
+	return startDaemonAt(t, t.TempDir(), workers, configure)
+}
+
+// startDaemonAt is startDaemonOpts over an existing data directory, so a
+// test can seed queue.jsonl before the daemon replays it.
+func startDaemonAt(t *testing.T, dir string, workers int, configure func(s *server, q *jobs.Queue)) *testDaemon {
+	t.Helper()
 	q, err := jobs.OpenQueue(filepath.Join(dir, "queue.jsonl"))
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,7 @@
 // the Go toolchain, the module version and VCS revision when the binary was
 // built from a checkout, and the machine's CPU count. Every CLI surfaces it
 // behind -version and omnc-serve behind GET /healthz, so experiment results
-// (BENCH re-records in particular, whose speedup gates only bind on >= 4
-// CPUs) stay attributable to the build and machine that produced them.
+// stay attributable to the build and machine that produced them.
 package buildinfo
 
 import (
@@ -24,7 +23,7 @@ type Info struct {
 	Dirty    bool   `json:"dirty,omitempty"`
 	// GoVersion is the toolchain that built the binary.
 	GoVersion string `json:"go_version"`
-	// CPUs is runtime.NumCPU() — the figure BENCH speedup gates key on.
+	// CPUs is runtime.NumCPU(): what any parallel speed-up is read against.
 	CPUs int `json:"cpus"`
 	// GOMAXPROCS is the scheduler's current parallelism bound.
 	GOMAXPROCS int `json:"gomaxprocs"`

@@ -1,8 +1,8 @@
 // Package cliflags is the shared scaffold of the omnc command-line tools.
 // Every CLI used to carry the same boilerplate — profiling flags, a
 // hand-rolled error exit, its own copy of the -scheme/-redundancy and
-// -workers/-engine-workers blocks — five times over. This package holds it
-// once: an App that owns flag parsing, -version, profiling and
+// -workers/-engine-workers blocks — once per tool. This package holds it
+// once for all four: an App that owns flag parsing, -version, profiling and
 // interrupt-aware context plumbing, plus composable flag groups that build
 // the corresponding fields of a jobs.Spec.
 package cliflags

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -18,7 +19,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		{Version: 1, Kind: KindSession, Protocol: "more", Src: &src, Dst: &dst, Seed: 3, Scheme: "rs", Redundancy: 1.5},
 		{Version: 1, Kind: KindSession, CBRRate: -1, Trials: 4},
 		{Version: 1, Kind: KindTopo, Nodes: 50, MeanQuality: 0.91},
-		{Version: 1, Kind: KindBench, Iters: 2},
+		{Version: 1, Kind: KindLoopback, Trials: 2, GenerationSize: 8},
 	}
 	for _, want := range specs {
 		buf, err := want.Encode()
@@ -93,8 +94,22 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := Decode([]byte(`{"version":1,"kind":"fig1","sessoins":3}`)); err == nil {
 		t.Fatal("typo'd field must be rejected, not silently dropped")
 	}
-	if _, err := Decode([]byte(`{"version":1,"kind":"fig1"}{"version":1,"kind":"bench"}`)); err == nil {
+	if _, err := Decode([]byte(`{"version":1,"kind":"fig1"}{"version":1,"kind":"topo"}`)); err == nil {
 		t.Fatal("trailing second document must be rejected")
+	}
+	// A client still speaking the retired bench kind is told what exists,
+	// and its iters field is a typo like any other.
+	_, err := Decode([]byte(`{"version":1,"kind":"bench"}`))
+	if err == nil {
+		t.Fatal("the retired bench kind must be rejected")
+	}
+	for _, k := range Kinds() {
+		if !strings.Contains(err.Error(), k) {
+			t.Fatalf("unknown-kind error %q does not name the valid kind %q", err, k)
+		}
+	}
+	if _, err := Decode([]byte(`{"version":1,"kind":"fig1","iters":3}`)); err == nil || !strings.Contains(err.Error(), `unknown field "iters"`) {
+		t.Fatalf("iters must fail as an unknown field, got %v", err)
 	}
 }
 
@@ -381,7 +396,7 @@ func TestQueueToleratesTornFinalLine(t *testing.T) {
 	// The fragment must be truncated away, not appended onto: everything
 	// written since — the recovery requeue and this submit — must survive
 	// yet another replay intact.
-	if _, err := q2.Submit(Spec{Version: 1, Kind: KindBench}); err != nil {
+	if _, err := q2.Submit(Spec{Version: 1, Kind: KindMulti}); err != nil {
 		t.Fatal(err)
 	}
 	if err := q2.Close(); err != nil {
@@ -420,7 +435,7 @@ func TestQueueDropsUnterminatedFinalRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"submit","id":"j2","spec":{"version":1,"kind":"bench"}}`); err != nil {
+	if _, err := f.WriteString(`{"op":"submit","id":"j2","spec":{"version":1,"kind":"topo"}}`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -431,7 +446,7 @@ func TestQueueDropsUnterminatedFinalRecord(t *testing.T) {
 	if jobs := q2.List(); len(jobs) != 1 || jobs[0].ID != "j1" {
 		t.Fatalf("unterminated record must be dropped: %+v", jobs)
 	}
-	if _, err := q2.Submit(Spec{Version: 1, Kind: KindBench}); err != nil {
+	if _, err := q2.Submit(Spec{Version: 1, Kind: KindMulti}); err != nil {
 		t.Fatal(err)
 	}
 	if err := q2.Close(); err != nil {

@@ -40,7 +40,7 @@ func TestQueuePriorityThenFIFOClaim(t *testing.T) {
 	q := openQueue(t, path)
 	a, _ := q.SubmitPriority(sessionSpec(), 0)
 	b, _ := q.SubmitPriority(Spec{Version: 1, Kind: KindFig1}, 5)
-	c, _ := q.SubmitPriority(Spec{Version: 1, Kind: KindBench}, 5)
+	c, _ := q.SubmitPriority(Spec{Version: 1, Kind: KindMulti}, 5)
 	d, _ := q.SubmitPriority(Spec{Version: 1, Kind: KindTopo}, -3)
 	e, _ := q.Submit(Spec{Version: 1, Kind: KindDrift})
 
@@ -66,7 +66,7 @@ func TestQueueSetPriority(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "queue.jsonl")
 	q := openQueue(t, path)
 	a, _ := q.Submit(Spec{Version: 1, Kind: KindFig1})
-	b, _ := q.Submit(Spec{Version: 1, Kind: KindBench})
+	b, _ := q.Submit(Spec{Version: 1, Kind: KindMulti})
 
 	j, err := q.SetPriority(b.ID, 9)
 	if err != nil {
@@ -193,7 +193,7 @@ func TestQueueCancelRunningSurvivesRestart(t *testing.T) {
 		t.Fatalf("after restart: %+v, want canceled with no requeues", fin)
 	}
 	// Cancel on a done job is a distinct, terminal conflict.
-	d, _ := q2.Submit(Spec{Version: 1, Kind: KindBench})
+	d, _ := q2.Submit(Spec{Version: 1, Kind: KindMulti})
 	if _, ok, _ := q2.Claim(); !ok {
 		t.Fatal("claim")
 	}
@@ -300,7 +300,7 @@ func TestQueueNonRetryableAndZeroRetriesFailTerminally(t *testing.T) {
 
 	// MaxRetries 0 turns even retryable failures terminal.
 	q.MaxRetries = 0
-	b, _ := q.Submit(Spec{Version: 1, Kind: KindBench})
+	b, _ := q.Submit(Spec{Version: 1, Kind: KindMulti})
 	claimWithin(t, q, time.Second)
 	if err := q.Fail(b.ID, Retryable(errors.New("transient"))); err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestQueueReplayLifecycleOpsWithTornTail(t *testing.T) {
 	q.RetryBase = time.Millisecond
 
 	j1, _ := q.Submit(Spec{Version: 1, Kind: KindFig1})             // will be canceled
-	j2, _ := q.SubmitPriority(Spec{Version: 1, Kind: KindBench}, 4) // will retry
+	j2, _ := q.SubmitPriority(Spec{Version: 1, Kind: KindMulti}, 4) // will retry
 	j3, _ := q.Submit(Spec{Version: 1, Kind: KindTopo})             // stays pending
 	if _, err := q.SetPriority(j3.ID, -1); err != nil {
 		t.Fatal(err)
@@ -404,8 +404,8 @@ func TestQueueReplayLifecycleOpsWithTornTail(t *testing.T) {
 	if g1.State != JobCanceled {
 		t.Fatalf("j1 = %+v, want canceled", g1)
 	}
-	if g2.State != JobPending || g2.Priority != 4 || g2.Attempts != 1 || g2.Error != "blip" {
-		t.Fatalf("j2 = %+v, want pending p4 attempt-1 'blip'", g2)
+	if g2.State != JobPending || g2.Priority != 4 || g2.Attempts != 1 || g2.Error != "blip" || g2.NotBefore == nil {
+		t.Fatalf("j2 = %+v, want pending p4 attempt-1 'blip' with its backoff deadline", g2)
 	}
 	if g3.State != JobPending || g3.Priority != -1 {
 		t.Fatalf("j3 = %+v, want pending p-1", g3)
@@ -421,6 +421,9 @@ func TestQueueReplayLifecycleOpsWithTornTail(t *testing.T) {
 	}
 	q3 := openQueue(t, path)
 	defer q3.Close()
+	// j2's 1 ms retry backoff is journal state; on a fast disk the two
+	// replays finish inside it, so wait it out before reading the order.
+	time.Sleep(time.Until(*g2.NotBefore))
 	if got := claimAll(t, q3); fmt.Sprint(got) != fmt.Sprint([]string{j2.ID, j4.ID, j3.ID}) {
 		t.Fatalf("claim order after double replay: %v, want [%s %s %s]", got, j2.ID, j4.ID, j3.ID)
 	}

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 
 	"omnc"
-	"omnc/internal/benchreport"
 	"omnc/internal/coding"
 	"omnc/internal/core"
 	"omnc/internal/drift"
@@ -57,7 +56,6 @@ type Result struct {
 	Subgraph   *omnc.Subgraph                `json:"-"`
 	Network    *omnc.Network                 `json:"-"`
 	Loopback   []*drift.Result               `json:"-"`
-	Bench      *benchreport.Report           `json:"-"`
 }
 
 // Artifact returns the named artifact, or nil.
@@ -115,8 +113,6 @@ func RunWithProgress(ctx context.Context, s Spec, p *metrics.Progress) (*Result,
 		return runTopo(s)
 	case KindLoopback:
 		return runLoopback(s, h)
-	case KindBench:
-		return runBench(s, h)
 	}
 	return nil, fmt.Errorf("jobs: unknown kind %q", s.Kind)
 }
@@ -560,25 +556,6 @@ func runLoopback(s Spec, h *progressHandle) (*Result, error) {
 		Spec: s, Loopback: results, Subgraph: sg, Network: nw,
 		Summary: fmt.Sprintf("%d generations decoded over %d session(s), %d corrupted",
 			decoded, trials, corrupted),
-	}, nil
-}
-
-func runBench(s Spec, h *progressHandle) (*Result, error) {
-	iters := s.Iters
-	if iters == 0 {
-		iters = 5
-	}
-	r, err := benchreport.Record(h.ctx, iters)
-	if err != nil {
-		return nil, err
-	}
-	buf, err := r.Encode()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Spec: s, Bench: r, Artifacts: []Artifact{newArtifact("bench.json", buf)},
-		Summary: fmt.Sprintf("%d scenarios benchmarked, %d iterations each", len(r.Benchmarks), iters),
 	}, nil
 }
 

@@ -1,7 +1,7 @@
 // Package jobs is the experiment service core: a versioned, JSON-round-
 // trippable Spec naming one experiment, a Validate that rejects nonsense
 // before any CPU is spent, and a Run dispatcher that executes the Spec over
-// the internal/experiments runners. Every surface — the five CLIs, the
+// the internal/experiments runners. Every surface — the four CLIs, the
 // omnc-serve daemon, CI smoke jobs and tests — drives this one path, so a
 // figure submitted over HTTP lands byte-identical artifacts to the same
 // figure run from a shell.
@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"omnc/internal/coding"
@@ -30,7 +31,7 @@ import (
 const SpecVersion = 1
 
 // Experiment kinds accepted by Spec.Kind. Each maps to one runner in
-// run.go; together they cover everything the five CLIs can execute.
+// run.go; together they cover everything the four CLIs can execute.
 const (
 	// KindComparison is the paper's Sec. 5 harness (figures 2l/2r/3/4 and
 	// the LP-gap summary) — omnc-fig's comparison path.
@@ -53,15 +54,13 @@ const (
 	// KindLoopback runs OMNC over real UDP sockets on the loopback
 	// interface — omnc-drift's path. Wall-clock bound, not deterministic.
 	KindLoopback = "loopback"
-	// KindBench records the session benchmark trajectory
-	// (internal/benchreport) — omnc-bench's recording path.
-	KindBench = "bench"
 )
 
-// Kinds lists every accepted Spec.Kind, sorted.
+// Kinds lists every accepted Spec.Kind, sorted. Validate accepts exactly
+// this list; RunWithProgress dispatches each entry to its runner.
 func Kinds() []string {
 	return []string{
-		KindBench, KindComparison, KindDrift, KindFaults, KindFig1,
+		KindComparison, KindDrift, KindFaults, KindFig1,
 		KindLoopback, KindMulti, KindSchemes, KindSession, KindTopo,
 	}
 }
@@ -158,9 +157,6 @@ type Spec struct {
 	// serial). Results are bit-identical for every value of either.
 	Workers       int `json:"workers,omitempty"`
 	EngineWorkers int `json:"engine_workers,omitempty"`
-
-	// Iters is the measured runs per benchmark for KindBench (default 5).
-	Iters int `json:"iters,omitempty"`
 
 	// Rate, GenerationSize and BlockSize parameterize KindLoopback
 	// (defaults 200000 B/s, 8 blocks, 64 bytes — omnc-drift's defaults).
@@ -260,10 +256,7 @@ func (s Spec) Validate() error {
 	if s.Version != SpecVersion {
 		return fmt.Errorf("jobs: spec version %d, want %d", s.Version, SpecVersion)
 	}
-	switch s.Kind {
-	case KindComparison, KindFig1, KindDrift, KindMulti, KindFaults,
-		KindSchemes, KindSession, KindTopo, KindLoopback, KindBench:
-	default:
+	if !slices.Contains(Kinds(), s.Kind) {
 		return fmt.Errorf("jobs: unknown kind %q (want one of %v)", s.Kind, Kinds())
 	}
 	if _, err := coding.ParseScheme(s.schemeName()); err != nil {
@@ -285,7 +278,7 @@ func (s Spec) Validate() error {
 	if s.Trials < 0 {
 		return fmt.Errorf("jobs: trials %d must not be negative", s.Trials)
 	}
-	if s.Nodes < 0 || s.Sessions < 0 || s.MinHops < 0 || s.MaxHops < 0 || s.Iters < 0 {
+	if s.Nodes < 0 || s.Sessions < 0 || s.MinHops < 0 || s.MaxHops < 0 {
 		return fmt.Errorf("jobs: negative count in spec")
 	}
 	if s.Duration < 0 || s.Capacity < 0 || s.Density < 0 || s.Redundancy < 0 {

@@ -1,11 +1,12 @@
-// Package sessionbench pins the session-benchmark scenario shared by the
-// BenchmarkSession* benchmarks and cmd/omnc-bench, so the trajectory the
-// repo records in BENCH_<n>.json measures exactly the same workload as
+// Package sessionbench pins the session-benchmark scenarios shared by the
+// Benchmark(Multi)Session* benchmarks, TestSessionAllocCeilings and the
+// probes of ./benchmark, so all three measure exactly the same workload as
 //
 //	go test -bench='^BenchmarkSession' -benchmem
 //
-// Any change here shifts both at once; the recorded baselines in
-// cmd/omnc-bench stay comparable only as long as this file does not change.
+// Any change here shifts all of them at once; the allocation ceilings and
+// the recorded history in EXPERIMENTS.md stay comparable only as long as
+// this file does not change.
 package sessionbench
 
 import (
@@ -19,8 +20,8 @@ import (
 // Scenario is one benchmarked session: a protocol with its fixed seed on
 // the strip network.
 type Scenario struct {
-	// Name is the stable benchmark identifier ("SessionOMNC", ...) used in
-	// BENCH_<n>.json and as the Benchmark* suffix.
+	// Name is the stable benchmark identifier ("SessionOMNC", ...), also
+	// the Benchmark* suffix.
 	Name string
 	// Seed feeds the session RNG; each protocol keeps its own so the
 	// recorded numbers are individually reproducible.
@@ -44,8 +45,8 @@ func Scenarios() []Scenario {
 // encoder and the verbatim ForwardBuffer replace the random encoder and the
 // Recoder on the hot path.
 type SchemeScenario struct {
-	// Name is the stable benchmark identifier ("SessionScheme/rs", ...)
-	// used in BENCH_<n>.json and as the Benchmark* suffix.
+	// Name is the stable benchmark identifier ("SessionScheme/rs", ...),
+	// also the Benchmark* suffix.
 	Name       string
 	Scheme     coding.Scheme
 	Redundancy float64
@@ -55,8 +56,8 @@ type SchemeScenario struct {
 // process, so the entries differ only by strategy.
 const schemeSeed = 71
 
-// SchemeScenarios lists the benchmarked coding schemes in recorded order;
-// the rlnc entry is the in-report reference the others gate against.
+// SchemeScenarios lists the benchmarked coding schemes; the rlnc entry is
+// the reference the others are bounded against.
 func SchemeScenarios() []SchemeScenario {
 	return []SchemeScenario{
 		{Name: "SessionScheme/rlnc", Scheme: coding.SchemeRLNC},
@@ -84,8 +85,8 @@ func (s SchemeScenario) Run(nw *topology.Network, src, dst int) (*protocol.Stats
 // workspaces — a wider field doubles coefficient traffic but must not add
 // per-packet allocations.
 type FieldScenario struct {
-	// Name is the stable benchmark identifier ("SessionField/16") used in
-	// BENCH_<n>.json and as the Benchmark* suffix.
+	// Name is the stable benchmark identifier ("SessionField/16"), also
+	// the Benchmark* suffix.
 	Name  string
 	Field coding.Field
 }
@@ -118,8 +119,8 @@ func (s FieldScenario) Run(nw *topology.Network, src, dst int) (*protocol.Stats,
 // MultiScenario is one benchmarked multi-unicast workload: two sessions of
 // one protocol contending on the shared engine over the strip network.
 type MultiScenario struct {
-	// Name is the stable benchmark identifier ("MultiSessionOMNC", ...)
-	// used in BENCH_<n>.json and as the Benchmark* suffix.
+	// Name is the stable benchmark identifier ("MultiSessionOMNC", ...),
+	// also the Benchmark* suffix.
 	Name string
 	// Seed feeds the shared engine and both sessions' derived RNG streams.
 	Seed  int64
@@ -145,15 +146,14 @@ func (s MultiScenario) Run(nw *topology.Network) (*protocol.MultiStats, error) {
 }
 
 // ScaledMultiScenario is the parallel-engine scaling workload behind
-// BenchmarkMultiSessionScaled* and the BENCH_4.json speedup record: many
+// BenchmarkMultiSessionScaled* and the benchmark's sim.parallel_speedup_w2: many
 // sessions contending on one shared engine with full-size 1 KB blocks, so
 // per-session decode work (which the parallel engine shards) dominates the
 // serial MAC bookkeeping. EngineWorkers picks the engine: 0 the serial
 // reference, N >= 1 the conservative parallel engine. The emulated results
 // are bit-identical for every EngineWorkers value — only wall-clock varies.
 type ScaledMultiScenario struct {
-	// Name is the stable benchmark identifier used in BENCH_4.json and as
-	// the Benchmark* suffix.
+	// Name is the stable benchmark identifier, also the Benchmark* suffix.
 	Name string
 	// EngineWorkers is protocol.Config EngineWorkers for every session.
 	EngineWorkers int
@@ -163,7 +163,7 @@ type ScaledMultiScenario struct {
 // serial and parallel entries time identical work.
 const scaledSeed = 61
 
-// ScaledMultiScenarios lists the BENCH_4 scaling ladder in recorded order:
+// ScaledMultiScenarios lists the scaling ladder:
 // the serial baseline, then the parallel engine at 2, 4 and 8 workers.
 func ScaledMultiScenarios() []ScaledMultiScenario {
 	return []ScaledMultiScenario{
