@@ -288,9 +288,11 @@ func TestChaosWorkersInvariant(t *testing.T) {
 	run := func(workers int) *experiments.FaultChurn {
 		t.Helper()
 		res, err := experiments.RunFaultChurn(experiments.FaultsConfig{
-			Nodes: 60, Density: 6, Sessions: 2, MinHops: 2, MaxHops: 6,
-			Duration: 20, CBRRate: 1e4, ChurnRates: []float64{0, 5},
-			Seed: 7, Workers: workers,
+			Base: experiments.Config{
+				Nodes: 60, Density: 6, Sessions: 2, MinHops: 2, MaxHops: 6,
+				Duration: 20, CBRRate: 1e4, Seed: 7, Workers: workers,
+			},
+			ChurnRates: []float64{0, 5},
 		})
 		if err != nil {
 			t.Fatal(err)

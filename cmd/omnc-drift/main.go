@@ -18,34 +18,63 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"time"
 
 	"omnc/internal/cliflags"
-	"omnc/internal/coding"
 	"omnc/internal/jobs"
 )
 
-func main() {
-	var (
-		duration = flag.Duration("duration", 2*time.Second, "wall-clock run time")
-		rate     = flag.Float64("rate", 200_000, "per-node broadcast pacing rate (bytes/s)")
-		genSize  = flag.Int("generation", 8, "blocks per generation")
-		block    = flag.Int("block", 64, "bytes per block")
-		seed     = flag.Int64("seed", 1, "loss-process seed")
-		trials   = flag.Int("trials", 1, "independent loopback sessions to run")
-	)
-	pool := cliflags.RegisterPool(flag.CommandLine, false)
-	cod := cliflags.RegisterCoding(flag.CommandLine,
-		"coding scheme: rlnc (full recoding), rlnc-e2e (no recoding), rs (source-only Reed-Solomon)",
-		"coded packets per generation as a factor of the generation size (0 = rateless)")
-	app := cliflags.New("omnc-drift", flag.CommandLine)
-	app.Main(func(ctx context.Context) error {
-		return run(ctx, *duration, *rate, *genSize, *block, *seed, *trials, pool.Workers, cod)
-	})
+// flags is omnc-drift's command line: the loopback Spec its flags are bound
+// to, and the wall-clock run time, which the flag takes as a time.Duration
+// and the Spec carries in seconds.
+type flags struct {
+	spec     jobs.Spec
+	duration time.Duration
 }
 
-func run(ctx context.Context, duration time.Duration, rate float64, genSize, block int, seed int64, trials, workers int,
-	cod *cliflags.CodingFlags) error {
+// register binds omnc-drift's flags to a loopback Spec seeded from the
+// defaults table.
+func register(fs *flag.FlagSet) *flags {
+	f := &flags{spec: jobs.Defaults(jobs.KindLoopback, false)}
+	s := &f.spec
+	fs.DurationVar(&f.duration, "duration", wallTime(s.Duration), "wall-clock run time")
+	fs.Float64Var(&s.Rate, "rate", s.Rate, "per-node broadcast pacing rate (bytes/s)")
+	fs.IntVar(&s.GenerationSize, "generation", s.GenerationSize, "blocks per generation")
+	fs.IntVar(&s.BlockSize, "block", s.BlockSize, "bytes per block")
+	fs.Int64Var(&s.Seed, "seed", 1, "loss-process seed")
+	fs.IntVar(&s.Trials, "trials", s.Trials, "independent loopback sessions to run")
+	cliflags.Pool(fs, s, false)
+	cliflags.Coding(fs, s,
+		"coding scheme: rlnc (full recoding), rlnc-e2e (no recoding), rs (source-only Reed-Solomon)",
+		"coded packets per generation as a factor of the generation size (0 = rateless)")
+	return f
+}
+
+// wallTime converts the Spec's seconds to the duration the flag and the
+// banner show.
+func wallTime(seconds float64) time.Duration {
+	return time.Duration(math.Round(seconds * float64(time.Second)))
+}
+
+func main() {
+	f := register(flag.CommandLine)
+	cliflags.New("omnc-drift", flag.CommandLine).Main(f.run)
+}
+
+func (f *flags) run(ctx context.Context) error {
+	return run(ctx, f.resolve())
+}
+
+// resolve returns the Spec the parsed command line names.
+func (f *flags) resolve() jobs.Spec {
+	spec := f.spec
+	spec.Duration = f.duration.Seconds()
+	return spec
+}
+
+func run(ctx context.Context, spec jobs.Spec) error {
+	trials, genSize, block := spec.Trials, spec.GenerationSize, spec.BlockSize
 	if trials < 1 {
 		return fmt.Errorf("-trials must be at least 1, got %d", trials)
 	}
@@ -54,23 +83,12 @@ func run(ctx context.Context, duration time.Duration, rate float64, genSize, blo
 	if genSize < 1 || block < 1 {
 		return fmt.Errorf("generation size and block size must be positive, got %dx%d", genSize, block)
 	}
-	schemeVal, err := coding.ParseScheme(cod.Scheme)
-	if err != nil {
-		return err
-	}
-	spec := jobs.Spec{
-		Version: jobs.SpecVersion, Kind: jobs.KindLoopback,
-		Seed: seed, Duration: duration.Seconds(), Rate: rate,
-		GenerationSize: genSize, BlockSize: block,
-		Trials: trials, Workers: workers,
-	}
-	cod.Apply(&spec)
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 
 	fmt.Printf("running OMNC over loopback UDP: %d nodes, generation %dx%dB, scheme %s, %v wall time, %d session(s)\n",
-		4, genSize, block, schemeVal, duration, trials)
+		4, genSize, block, spec.Scheme, wallTime(spec.Duration), trials)
 
 	res, err := jobs.Run(ctx, spec)
 	if err != nil {
@@ -98,7 +116,7 @@ func run(ctx context.Context, duration time.Duration, rate float64, genSize, blo
 		sum.forwarded, sum.dropped,
 		100*float64(sum.dropped)/float64(max64(total, 1)))
 	fmt.Printf("goodput:              %.0f bytes/s of decoded application data per session\n",
-		float64(sum.decoded*genSize*block)/(duration.Seconds()*float64(trials)))
+		float64(sum.decoded*genSize*block)/(spec.Duration*float64(trials)))
 	return nil
 }
 

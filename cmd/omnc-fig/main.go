@@ -42,81 +42,76 @@ import (
 	"omnc/internal/sim"
 )
 
-func main() {
-	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 1, 2l, 2r, 3, 4, lpgap, drift, multi, faults, schemes, all")
-		full     = flag.Bool("full", false, "paper scale (300 sessions x 800 s, 1 KB blocks)")
-		sessions = flag.Int("sessions", 0, "override session count")
-		duration = flag.Float64("duration", 0, "override emulated seconds per session")
-		seed     = flag.Int64("seed", 1, "experiment seed")
-		mac      = flag.String("mac", "oracle", "channel model: oracle or csma")
-		csvDir   = flag.String("csv", "", "directory to write CSV series into")
-		report   = flag.Bool("report", false, "collect per-session observability reports and print per-figure totals")
-	)
-	pool := cliflags.RegisterPool(flag.CommandLine, true)
-	cod := cliflags.RegisterCoding(flag.CommandLine,
-		"coding scheme for the comparison figures: rlnc, rlnc-e2e or rs (-fig schemes sweeps all three)",
-		"source emission cap as a factor of the generation size (0 = rateless)")
-	app := cliflags.New("omnc-fig", flag.CommandLine)
-	app.Main(func(ctx context.Context) error {
-		return run(ctx, *fig, *full, *sessions, *duration, *seed, *mac, *csvDir,
-			pool.Workers, pool.EngineWorkers, *report, cod)
-	})
+// flags is omnc-fig's command line: the Spec fields every figure shares,
+// bound to one base Spec, plus the figure selector and the CSV directory.
+type flags struct {
+	base     jobs.Spec
+	fig, csv string
 }
 
-func run(ctx context.Context, fig string, full bool, sessions int, duration float64, seed int64, mac, csvDir string,
-	workers, engineWorkers int, report bool, cod *cliflags.CodingFlags) error {
-	base := jobs.Spec{
-		Version: jobs.SpecVersion,
-		Seed:    seed, Full: full, Sessions: sessions, Duration: duration,
-		Workers: workers, EngineWorkers: engineWorkers, Report: report,
-	}
-	// The Spec's zero MAC is the oracle default; keep flag-built specs on the
-	// zero value so they hash like hand-written ones.
-	if mac != "oracle" && mac != "" {
-		base.MAC = mac
-	}
-	cod.Apply(&base)
+// register binds omnc-fig's flags to the base Spec. -sessions and -duration
+// stay 0 ("the scale's default") because -full moves what they default to.
+func register(fs *flag.FlagSet) *flags {
+	d := jobs.Defaults(jobs.KindComparison, false)
+	f := &flags{base: jobs.Spec{Version: d.Version, MAC: d.MAC, Scheme: d.Scheme, Field: d.Field}}
+	s := &f.base
+	fs.StringVar(&f.fig, "fig", "all", "figure to regenerate: 1, 2l, 2r, 3, 4, lpgap, drift, multi, faults, schemes, all")
+	fs.BoolVar(&s.Full, "full", false, "paper scale (300 sessions x 800 s, 1 KB blocks)")
+	fs.IntVar(&s.Sessions, "sessions", 0, "override session count")
+	fs.Float64Var(&s.Duration, "duration", 0, "override emulated seconds per session")
+	fs.Int64Var(&s.Seed, "seed", 1, "experiment seed")
+	fs.StringVar(&s.MAC, "mac", s.MAC, "channel model: oracle or csma")
+	fs.StringVar(&f.csv, "csv", "", "directory to write CSV series into")
+	fs.BoolVar(&s.Report, "report", false, "collect per-session observability reports and print per-figure totals")
+	cliflags.Pool(fs, s, true)
+	cliflags.Coding(fs, s,
+		"coding scheme for the comparison figures: rlnc, rlnc-e2e or rs (-fig schemes sweeps all three)",
+		"source emission cap as a factor of the generation size (0 = rateless)")
+	return f
+}
 
-	switch fig {
+func main() {
+	f := register(flag.CommandLine)
+	cliflags.New("omnc-fig", flag.CommandLine).Main(f.run)
+}
+
+// run translates -fig into the Specs it names — one per figure, three for
+// "all" — and renders each.
+func (f *flags) run(ctx context.Context) error {
+	switch f.fig {
 	case "1":
-		base.Kind = jobs.KindFig1
-		return fig1(ctx, base, csvDir)
+		return fig1(ctx, f.spec(jobs.KindFig1), f.csv)
 	case "2l", "2r", "3", "4", "lpgap":
-		base.Kind = jobs.KindComparison
-		base.Figures = []string{fig}
-		return comparisonFigs(ctx, base, csvDir, fig)
+		return comparisonFigs(ctx, f.spec(jobs.KindComparison, f.fig), f.csv)
 	case "drift":
-		base.Kind = jobs.KindDrift
-		return driftFig(ctx, base, csvDir)
+		return driftFig(ctx, f.spec(jobs.KindDrift), f.csv)
 	case "multi":
-		base.Kind = jobs.KindMulti
-		return multiFig(ctx, base, csvDir)
+		return multiFig(ctx, f.spec(jobs.KindMulti), f.csv)
 	case "faults":
-		base.Kind = jobs.KindFaults
-		return faultsFig(ctx, base, csvDir)
+		return faultsFig(ctx, f.spec(jobs.KindFaults), f.csv)
 	case "schemes":
-		base.Kind = jobs.KindSchemes
-		return schemesFig(ctx, base, csvDir)
+		return schemesFig(ctx, f.spec(jobs.KindSchemes), f.csv)
 	case "all":
-		f1 := base
-		f1.Kind = jobs.KindFig1
-		if err := fig1(ctx, f1, csvDir); err != nil {
+		if err := fig1(ctx, f.spec(jobs.KindFig1), f.csv); err != nil {
 			return err
 		}
-		cmp := base
-		cmp.Kind = jobs.KindComparison
-		cmp.Figures = []string{"2l", "3", "4", "lpgap"}
-		if err := comparisonFigs(ctx, cmp, csvDir, "2l", "3", "4", "lpgap"); err != nil {
+		if err := comparisonFigs(ctx, f.spec(jobs.KindComparison, "2l", "3", "4", "lpgap"), f.csv); err != nil {
 			return err
 		}
-		hq := base
-		hq.Kind = jobs.KindComparison
-		hq.Figures = []string{"2r"}
-		return comparisonFigs(ctx, hq, csvDir, "2r")
+		return comparisonFigs(ctx, f.spec(jobs.KindComparison, "2r"), f.csv)
 	default:
-		return fmt.Errorf("unknown -fig %q", fig)
+		return fmt.Errorf("unknown -fig %q", f.fig)
 	}
+}
+
+// spec narrows the base Spec to one kind. -report asks for the comparison
+// figures' per-session reports; the other kinds keep none and their Specs
+// reject the field, so it is not passed on to them.
+func (f *flags) spec(kind string, figures ...string) jobs.Spec {
+	s := f.base
+	s.Kind, s.Figures = kind, figures
+	s.Report = s.Report && kind == jobs.KindComparison
+	return s
 }
 
 func fig1(ctx context.Context, spec jobs.Spec, csvDir string) error {
@@ -149,19 +144,24 @@ func fig1(ctx context.Context, spec jobs.Spec, csvDir string) error {
 	return writeArtifact(csvDir, r, "fig1_convergence.csv")
 }
 
-func comparisonFigs(ctx context.Context, spec jobs.Spec, csvDir string, figs ...string) error {
-	// The preamble derives from the effective config, so vet the Spec before
+// runTicking runs a sweep Spec while reporting its progress to stderr.
+func runTicking(ctx context.Context, spec jobs.Spec) (*jobs.Result, error) {
+	progress := metrics.NewProgress(spec.Units())
+	stopTicker := cliflags.StartProgressTicker("omnc-fig", progress)
+	defer stopTicker()
+	return jobs.RunWithProgress(ctx, spec, progress)
+}
+
+func comparisonFigs(ctx context.Context, spec jobs.Spec, csvDir string) error {
+	// The preamble derives from the mapped config, so vet the Spec before
 	// using it (jobs.Run would only catch it after the banner printed).
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	cfg := spec.EffectiveComparison()
+	cfg := spec.Config()
 	fmt.Printf("Running %d sessions on %d nodes (density %.0f, mean quality target %s, MAC %s)...\n",
 		cfg.Sessions, cfg.Nodes, cfg.Density, qualityLabel(cfg.MeanQuality), macLabel(cfg.MAC))
-	progress := metrics.NewProgress(spec.Units())
-	stopTicker := cliflags.StartProgressTicker("omnc-fig", progress)
-	r, err := jobs.RunWithProgress(ctx, spec, progress)
-	stopTicker()
+	r, err := runTicking(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -171,7 +171,7 @@ func comparisonFigs(ctx context.Context, spec jobs.Spec, csvDir string, figs ...
 		fmt.Printf("rate-control iterations (paper mean: 91): %s\n", it)
 	}
 	fmt.Println()
-	for _, f := range figs {
+	for _, f := range spec.Figures {
 		switch f {
 		case "2l", "2r":
 			label := "lossy network"
@@ -242,7 +242,7 @@ func printReportTotals(c *experiments.Comparison) {
 // driftFig prints the link-dynamics extension: OMNC throughput as per-epoch
 // link drift intensifies, re-initiating node selection and rates each epoch.
 func driftFig(ctx context.Context, spec jobs.Spec, csvDir string) error {
-	r, err := jobs.Run(ctx, spec)
+	r, err := runTicking(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -266,23 +266,16 @@ func multiFig(ctx context.Context, spec jobs.Spec, csvDir string) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	cfg := spec.EffectiveComparison()
-	counts, trials := spec.MultiPlan()
-	if len(counts) == 0 {
-		return fmt.Errorf("-sessions %d leaves no session counts to sweep", spec.Sessions)
-	}
+	mc := spec.MultiConfig()
 	fmt.Printf("Running multi-unicast scaling on %d nodes (counts %v, %d trials each, MAC %s)...\n",
-		cfg.Nodes, counts, trials, macLabel(cfg.MAC))
-	progress := metrics.NewProgress(spec.Units())
-	stopTicker := cliflags.StartProgressTicker("omnc-fig", progress)
-	r, err := jobs.RunWithProgress(ctx, spec, progress)
-	stopTicker()
+		mc.Base.Nodes, mc.SessionCounts, mc.Trials, macLabel(mc.Base.MAC))
+	r, err := runTicking(ctx, spec)
 	if err != nil {
 		return err
 	}
 	sc := r.Multi
 
-	protos := append([]string(nil), sc.Config.Protocols...)
+	protos := append([]string(nil), sc.Config.Base.Protocols...)
 	sort.Strings(protos)
 	fmt.Println("\nExtension: aggregate throughput and Jain fairness vs concurrent sessions")
 	fmt.Printf("%-10s", "sessions")
@@ -310,20 +303,16 @@ func faultsFig(ctx context.Context, spec jobs.Spec, csvDir string) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	cfg := spec.EffectiveComparison()
-	sessions, churn := spec.FaultsPlan()
+	fc := spec.FaultsConfig()
 	fmt.Printf("Running fault churn on %d nodes (%d sessions x churn %v per 100 s, MAC %s)...\n",
-		cfg.Nodes, sessions, churn, macLabel(cfg.MAC))
-	progress := metrics.NewProgress(spec.Units())
-	stopTicker := cliflags.StartProgressTicker("omnc-fig", progress)
-	r, err := jobs.RunWithProgress(ctx, spec, progress)
-	stopTicker()
+		fc.Base.Nodes, fc.Base.Sessions, fc.ChurnRates, macLabel(fc.Base.MAC))
+	r, err := runTicking(ctx, spec)
 	if err != nil {
 		return err
 	}
 	res := r.Faults
 
-	protos := append([]string(nil), res.Config.Protocols...)
+	protos := append([]string(nil), res.Config.Base.Protocols...)
 	sort.Strings(protos)
 	fmt.Println("\nExtension: throughput and time-to-recover vs fault churn")
 	fmt.Printf("%-12s", "churn/100s")
@@ -352,13 +341,9 @@ func schemesFig(ctx context.Context, spec jobs.Spec, csvDir string) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	cfg := spec.EffectiveComparison()
 	fmt.Printf("Running coding schemes on lossy chains (%d cells, MAC %s)...\n",
-		spec.Units(), macLabel(cfg.MAC))
-	progress := metrics.NewProgress(spec.Units())
-	stopTicker := cliflags.StartProgressTicker("omnc-fig", progress)
-	r, err := jobs.RunWithProgress(ctx, spec, progress)
-	stopTicker()
+		spec.Units(), macLabel(spec.Config().MAC))
+	r, err := runTicking(ctx, spec)
 	if err != nil {
 		return err
 	}

@@ -5,12 +5,11 @@ import (
 	"context"
 	"encoding/csv"
 	"flag"
+	"omnc/internal/jobs"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
-
-	"omnc/internal/cliflags"
 )
 
 // -update regenerates the golden fixtures under testdata/ instead of
@@ -21,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 func TestRunFig1WritesCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), "1", false, 0, 0, 1, "oracle", dir, 0, 0, false, codf("rlnc", 0)); err != nil {
+	if err := runArgs("-fig", "1", "-csv", dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig1_convergence.csv")); err != nil {
@@ -31,7 +30,7 @@ func TestRunFig1WritesCSV(t *testing.T) {
 
 func TestRunFig2SmallSession(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), "2l", false, 1, 60, 7, "oracle", dir, 0, 0, false, codf("rlnc", 0)); err != nil {
+	if err := runArgs("-fig", "2l", "-sessions", "1", "-duration", "60", "-seed", "7", "-csv", dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fig2l_gains.csv")); err != nil {
@@ -40,16 +39,16 @@ func TestRunFig2SmallSession(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run(context.Background(), "nope", false, 1, 10, 1, "oracle", "", 0, 0, false, codf("rlnc", 0)); err == nil {
+	if err := runArgs("-fig", "nope", "-sessions", "1", "-duration", "10"); err == nil {
 		t.Fatal("unknown figure must fail")
 	}
-	if err := run(context.Background(), "2l", false, 1, 10, 1, "token-ring", "", 0, 0, false, codf("rlnc", 0)); err == nil {
+	if err := runArgs("-fig", "2l", "-sessions", "1", "-duration", "10", "-mac", "token-ring"); err == nil {
 		t.Fatal("unknown MAC must fail")
 	}
-	if err := run(context.Background(), "2l", false, 1, 10, 1, "oracle", "", 0, 0, false, codf("fountain", 0)); err == nil {
+	if err := runArgs("-fig", "2l", "-sessions", "1", "-duration", "10", "-scheme", "fountain"); err == nil {
 		t.Fatal("unknown scheme must fail")
 	}
-	if err := run(context.Background(), "2l", false, 1, 10, 1, "oracle", "", 0, 0, false, codf("rlnc", 0.5)); err == nil {
+	if err := runArgs("-fig", "2l", "-sessions", "1", "-duration", "10", "-redundancy", "0.5"); err == nil {
 		t.Fatal("sub-unit redundancy must fail")
 	}
 }
@@ -61,7 +60,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // intentional behaviour change.
 func TestGoldenFig2CSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), "2l", false, 2, 60, 7, "oracle", dir, 2, 0, false, codf("rlnc", 0)); err != nil {
+	if err := runArgs("-fig", "2l", "-sessions", "2", "-duration", "60", "-seed", "7", "-csv", dir, "-workers", "2"); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, filepath.Join(dir, "fig2l_gains.csv"), "fig2l_gains.golden.csv")
@@ -75,7 +74,7 @@ func TestGoldenFig2CSVWithReport(t *testing.T) {
 		t.Skip("fixture is owned by TestGoldenFig2CSV")
 	}
 	dir := t.TempDir()
-	if err := run(context.Background(), "2l", false, 2, 60, 7, "oracle", dir, 2, 0, true, codf("rlnc", 0)); err != nil {
+	if err := runArgs("-fig", "2l", "-sessions", "2", "-duration", "60", "-seed", "7", "-csv", dir, "-workers", "2", "-report"); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, filepath.Join(dir, "fig2l_gains.csv"), "fig2l_gains.golden.csv")
@@ -87,7 +86,7 @@ func TestGoldenFig2CSVWithReport(t *testing.T) {
 // workers-invariant determinism at the CLI boundary.
 func TestGoldenMultiCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), "multi", false, 2, 60, 7, "oracle", dir, 2, 0, false, codf("rlnc", 0)); err != nil {
+	if err := runArgs("-fig", "multi", "-sessions", "2", "-duration", "60", "-seed", "7", "-csv", dir, "-workers", "2"); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, filepath.Join(dir, "fig_multi.csv"), "fig_multi.golden.csv")
@@ -99,7 +98,7 @@ func TestGoldenMultiCSV(t *testing.T) {
 // count, so the serial fixture must match without regeneration.
 func TestGoldenMultiCSVParallelEngine(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), "multi", false, 2, 60, 7, "oracle", dir, 2, 2, false, codf("rlnc", 0)); err != nil {
+	if err := runArgs("-fig", "multi", "-sessions", "2", "-duration", "60", "-seed", "7", "-csv", dir, "-workers", "2", "-engine-workers", "2"); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, filepath.Join(dir, "fig_multi.csv"), "fig_multi.golden.csv")
@@ -113,7 +112,7 @@ func TestGoldenMultiCSVParallelEngine(t *testing.T) {
 // sessions bit-identical.
 func TestGoldenFaultsCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), "faults", false, 2, 60, 7, "oracle", dir, 2, 0, false, codf("rlnc", 0)); err != nil {
+	if err := runArgs("-fig", "faults", "-sessions", "2", "-duration", "60", "-seed", "7", "-csv", dir, "-workers", "2"); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, filepath.Join(dir, "fig_faults.csv"), "fig_faults.golden.csv")
@@ -126,10 +125,51 @@ func TestGoldenFaultsCSV(t *testing.T) {
 // ordering inside the fixture.
 func TestGoldenSchemesCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), "schemes", false, 0, 60, 7, "oracle", dir, 2, 0, false, codf("rlnc", 0)); err != nil {
+	if err := runArgs("-fig", "schemes", "-duration", "60", "-seed", "7", "-csv", dir, "-workers", "2"); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, filepath.Join(dir, "fig_schemes.csv"), "fig_schemes.golden.csv")
+}
+
+// TestGoldenDriftCSV pins the link-drift sweep for a fixed seed: two sessions
+// under five jitter levels, three epochs each, two workers. The fixture was
+// generated by the build that still ran the sweep from its own copy of the
+// deployment and session set-up, so it holds the shared set-up to the same
+// bytes — and any re-expression of the sweep on the fault pipeline has its
+// oracle here.
+func TestGoldenDriftCSV(t *testing.T) {
+	dir := t.TempDir()
+	if err := runArgs("-fig", "drift", "-sessions", "2", "-duration", "60", "-seed", "7", "-csv", dir, "-workers", "2"); err != nil {
+		t.Fatal(err)
+	}
+	compareGolden(t, filepath.Join(dir, "fig_drift.csv"), "fig_drift.golden.csv")
+}
+
+// TestEmptyCommandLineHashesLikeMinimalSpecs: every Spec omnc-fig builds
+// from a bare -fig carries its flags' spelled-out defaults, and must still
+// share the content address of the minimal Spec naming the same figure.
+func TestEmptyCommandLineHashesLikeMinimalSpecs(t *testing.T) {
+	for fig, minimal := range map[string]string{
+		"1":       `{"version":1,"kind":"fig1","seed":1}`,
+		"2l":      `{"version":1,"kind":"comparison","seed":1,"figures":["2l"]}`,
+		"drift":   `{"version":1,"kind":"drift","seed":1}`,
+		"multi":   `{"version":1,"kind":"multi","seed":1}`,
+		"faults":  `{"version":1,"kind":"faults","seed":1}`,
+		"schemes": `{"version":1,"kind":"schemes","seed":1}`,
+	} {
+		f, err := parse("-fig", fig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := jobs.Decode([]byte(minimal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := f.spec(want.Kind, want.Figures...)
+		if got.Hash() != want.Hash() {
+			t.Errorf("-fig %s builds %+v, hashing %s; the minimal Spec hashes %s", fig, got, got.Hash(), want.Hash())
+		}
+	}
 }
 
 // TestSchemesGoldenRecodingGain reads the committed schemes fixture and
@@ -206,7 +246,18 @@ func compareGolden(t *testing.T, gotPath, name string) {
 	}
 }
 
-// codf builds the coding flag block the way flag parsing would.
-func codf(scheme string, redundancy float64) *cliflags.CodingFlags {
-	return &cliflags.CodingFlags{Scheme: scheme, Redundancy: redundancy}
+// runArgs drives omnc-fig the way main does: register the flags, parse the
+// command line, run.
+func runArgs(args ...string) error {
+	f, err := parse(args...)
+	if err != nil {
+		return err
+	}
+	return f.run(context.Background())
+}
+
+func parse(args ...string) (*flags, error) {
+	fs := flag.NewFlagSet("omnc-fig", flag.ContinueOnError)
+	f := register(fs)
+	return f, fs.Parse(args)
 }

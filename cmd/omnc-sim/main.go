@@ -30,88 +30,93 @@ import (
 	"omnc/internal/topology"
 )
 
-func main() {
-	var (
-		proto    = flag.String("proto", "omnc", "protocol: omnc, more, oldmore, etx")
-		nodes    = flag.Int("nodes", 300, "deployment size")
-		density  = flag.Float64("density", 6, "expected nodes per range disk")
-		seed     = flag.Int64("seed", 1, "topology and session seed")
-		src      = flag.Int("src", -1, "source node (-1 = random with hop constraint)")
-		dst      = flag.Int("dst", -1, "destination node (-1 = random with hop constraint)")
-		minHops  = flag.Int("min-hops", 4, "minimum hop distance for random endpoints")
-		maxHops  = flag.Int("max-hops", 10, "maximum hop distance for random endpoints")
-		duration = flag.Float64("duration", 200, "emulated seconds")
-		capacity = flag.Float64("capacity", 2e4, "channel capacity (bytes/s)")
-		cbr      = flag.Float64("cbr", 1e4, "CBR workload rate (bytes/s, 0 = backlogged)")
-		quality  = flag.Float64("quality", 0, "target mean link quality (0 = default lossy)")
-		svgPath  = flag.String("svg", "", "render the session's forwarder subgraph as SVG to this path")
-		trials   = flag.Int("trials", 1, "independent loss realizations of the same session")
-		faultsAt = flag.String("faults", "", "JSON fault plan to inject (node crashes, link flaps, burst loss)")
-		reportAt = flag.String("report", "", "write the session's observability report as JSON to this path")
-	)
-	pool := cliflags.RegisterPool(flag.CommandLine, true)
-	cod := cliflags.RegisterCoding(flag.CommandLine,
-		"coding scheme: rlnc (full recoding), rlnc-e2e (no recoding), rs (source-only Reed-Solomon)",
-		"coded packets per generation as a factor of the generation size (0 = rateless)")
-	app := cliflags.New("omnc-sim", flag.CommandLine)
-	app.Main(func(ctx context.Context) error {
-		return run(ctx, *proto, *nodes, *density, *seed, *src, *dst, *minHops, *maxHops,
-			*duration, *capacity, *cbr, *quality, *svgPath, *trials, pool.Workers, pool.EngineWorkers,
-			*faultsAt, *reportAt, cod)
-	})
+// flags is omnc-sim's command line: the session Spec its flags are bound
+// to, plus the few values the flag surface spells differently.
+type flags struct {
+	spec jobs.Spec
+	// src and dst spell "random endpoints" -1; the Spec spells it nil.
+	src, dst int
+	// svg and report are output paths, faults an input path; the Spec
+	// carries the decoded plan and whether a report was asked for.
+	svg, faults, report string
 }
 
-func run(ctx context.Context, proto string, nodes int, density float64, seed int64, src, dst, minHops, maxHops int,
-	duration, capacity, cbr, quality float64, svgPath string, trials, workers, engineWorkers int,
-	faultsPath, reportPath string, cod *cliflags.CodingFlags) error {
-	if trials < 1 {
-		return fmt.Errorf("-trials must be at least 1, got %d", trials)
-	}
-	redundancy := cod.Redundancy
-	scheme, err := omnc.ParseScheme(cod.Scheme)
+// register binds omnc-sim's flags to a session Spec seeded from the defaults
+// table, so -h shows exactly the values a minimal Spec would run with.
+func register(fs *flag.FlagSet) *flags {
+	f := &flags{spec: jobs.Defaults(jobs.KindSession, false)}
+	s := &f.spec
+	fs.StringVar(&s.Protocol, "proto", s.Protocol, "protocol: omnc, more, oldmore, etx")
+	fs.IntVar(&s.Nodes, "nodes", s.Nodes, "deployment size")
+	fs.Float64Var(&s.Density, "density", s.Density, "expected nodes per range disk")
+	fs.Int64Var(&s.Seed, "seed", 1, "topology and session seed")
+	fs.IntVar(&f.src, "src", -1, "source node (-1 = random with hop constraint)")
+	fs.IntVar(&f.dst, "dst", -1, "destination node (-1 = random with hop constraint)")
+	fs.IntVar(&s.MinHops, "min-hops", s.MinHops, "minimum hop distance for random endpoints")
+	fs.IntVar(&s.MaxHops, "max-hops", s.MaxHops, "maximum hop distance for random endpoints")
+	fs.Float64Var(&s.Duration, "duration", s.Duration, "emulated seconds")
+	fs.Float64Var(&s.Capacity, "capacity", s.Capacity, "channel capacity (bytes/s)")
+	fs.Float64Var(&s.CBRRate, "cbr", s.CBRRate, "CBR workload rate (bytes/s, 0 = backlogged)")
+	fs.Float64Var(&s.MeanQuality, "quality", s.MeanQuality, "target mean link quality (0 = default lossy)")
+	fs.StringVar(&f.svg, "svg", "", "render the session's forwarder subgraph as SVG to this path")
+	fs.IntVar(&s.Trials, "trials", s.Trials, "independent loss realizations of the same session")
+	fs.StringVar(&f.faults, "faults", "", "JSON fault plan to inject (node crashes, link flaps, burst loss)")
+	fs.StringVar(&f.report, "report", "", "write the session's observability report as JSON to this path")
+	cliflags.Pool(fs, s, true)
+	cliflags.Coding(fs, s,
+		"coding scheme: rlnc (full recoding), rlnc-e2e (no recoding), rs (source-only Reed-Solomon)",
+		"coded packets per generation as a factor of the generation size (0 = rateless)")
+	return f
+}
+
+func main() {
+	f := register(flag.CommandLine)
+	cliflags.New("omnc-sim", flag.CommandLine).Main(f.run)
+}
+
+func (f *flags) run(ctx context.Context) error {
+	spec, err := f.resolve()
 	if err != nil {
 		return err
 	}
-	if reportPath != "" && trials > 1 {
-		return fmt.Errorf("-report captures a single session; it cannot be combined with -trials %d", trials)
-	}
-	var plan *omnc.FaultPlan
-	if faultsPath != "" {
-		data, err := os.ReadFile(faultsPath)
-		if err != nil {
-			return err
-		}
-		if plan, err = omnc.DecodeFaultPlan(data); err != nil {
-			return fmt.Errorf("%s: %w", faultsPath, err)
-		}
-	}
+	return run(ctx, spec, f.svg, f.faults, f.report)
+}
 
-	spec := jobs.Spec{
-		Version: jobs.SpecVersion, Kind: jobs.KindSession,
-		Seed: seed, Nodes: nodes, Density: density, MeanQuality: quality,
-		MinHops: minHops, MaxHops: maxHops,
-		Duration: duration, Capacity: capacity,
-		Trials: trials, Workers: workers, EngineWorkers: engineWorkers,
-		Protocol: proto, Faults: plan, Report: reportPath != "",
+// resolve returns the Spec the parsed command line names, translating what
+// the flag surface spells differently: -cbr 0 is a backlogged source (the
+// Spec reserves 0 for its default rate and uses negative), -src/-dst -1 are
+// nil endpoints, -faults and -report are paths.
+func (f *flags) resolve() (jobs.Spec, error) {
+	spec := f.spec
+	if spec.Trials < 1 {
+		return spec, fmt.Errorf("-trials must be at least 1, got %d", spec.Trials)
 	}
-	// The flag spells "backlogged" as 0; the Spec reserves 0 for its default
-	// CBR rate and uses negative for backlogged.
-	if cbr == 0 {
+	if spec.CBRRate == 0 {
 		spec.CBRRate = -1
-	} else {
-		spec.CBRRate = cbr
 	}
-	if src >= 0 && dst >= 0 {
-		spec.Src, spec.Dst = &src, &dst
+	if f.src >= 0 && f.dst >= 0 {
+		spec.Src, spec.Dst = &f.src, &f.dst
 	}
-	cod.Apply(&spec)
+	spec.Report = f.report != ""
+	if f.faults != "" {
+		data, err := os.ReadFile(f.faults)
+		if err != nil {
+			return spec, err
+		}
+		if spec.Faults, err = omnc.DecodeFaultPlan(data); err != nil {
+			return spec, fmt.Errorf("%s: %w", f.faults, err)
+		}
+	}
+	return spec, nil
+}
 
+func run(ctx context.Context, spec jobs.Spec, svgPath, faultsPath, reportPath string) error {
 	res, err := jobs.Run(ctx, spec)
 	if err != nil {
 		return err
 	}
 	nw, sg := res.Network, res.Subgraph
-	src, dst = *res.Src, *res.Dst
+	src, dst, trials := *res.Src, *res.Dst, len(res.Session)
 
 	fmt.Printf("network: %d nodes, density %.1f, mean link quality %.3f\n",
 		nw.Size(), nw.MeanDegree()+1, nw.MeanLinkQuality())
@@ -123,13 +128,14 @@ func run(ctx context.Context, proto string, nodes int, density float64, seed int
 		}
 		fmt.Printf("wrote %s\n", svgPath)
 	}
-	if plan != nil {
-		fmt.Printf("fault plan: %d events from %s\n", len(plan.Events), faultsPath)
+	if spec.Faults != nil {
+		fmt.Printf("fault plan: %d events from %s\n", len(spec.Faults.Events), faultsPath)
 	}
-	if scheme != omnc.SchemeRLNC || redundancy != 0 {
-		fmt.Printf("coding scheme: %s, redundancy %s\n", scheme, redundancyLabel(redundancy))
+	cfg := spec.Config()
+	if cfg.Scheme != omnc.SchemeRLNC || cfg.Redundancy != 0 {
+		fmt.Printf("coding scheme: %s, redundancy %s\n", cfg.Scheme, redundancyLabel(cfg.Redundancy))
 	}
-	if spec.Field != "" {
+	if cfg.Coding.Field != omnc.Field8 {
 		fmt.Printf("coefficient field: GF(2^%s)\n", spec.Field)
 	}
 

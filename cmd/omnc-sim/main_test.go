@@ -3,31 +3,32 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"omnc/internal/jobs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"omnc/internal/cliflags"
 	"omnc/internal/report"
 )
 
 func TestRunRandomSession(t *testing.T) {
-	if err := run(context.Background(), "omnc", 100, 6, 3, -1, -1, 3, 8, 60, 2e4, 1e4, 0, "", 1, 0, 0, "", "", codf("rlnc", 0)); err != nil {
+	if err := runArgs("-nodes", "100", "-seed", "3", "-min-hops", "3", "-max-hops", "8", "-duration", "60"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunExplicitEndpointsETX(t *testing.T) {
 	// Deterministic topology: find a pair via the random path first.
-	if err := run(context.Background(), "etx", 100, 6, 3, -1, -1, 3, 8, 60, 2e4, 0, 0, "", 1, 0, 0, "", "", codf("rlnc", 0)); err != nil {
+	if err := runArgs("-proto", "etx", "-nodes", "100", "-seed", "3", "-min-hops", "3", "-max-hops", "8", "-duration", "60", "-cbr", "0"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunWritesSessionSVG(t *testing.T) {
 	svg := filepath.Join(t.TempDir(), "session.svg")
-	if err := run(context.Background(), "more", 100, 6, 3, -1, -1, 3, 8, 40, 2e4, 0, 0, svg, 1, 0, 0, "", "", codf("rlnc", 0)); err != nil {
+	if err := runArgs("-proto", "more", "-nodes", "100", "-seed", "3", "-min-hops", "3", "-max-hops", "8", "-duration", "40", "-cbr", "0", "-svg", svg); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(svg)
@@ -40,31 +41,31 @@ func TestRunWritesSessionSVG(t *testing.T) {
 }
 
 func TestRunUnknownProtocol(t *testing.T) {
-	if err := run(context.Background(), "bogus", 60, 6, 1, -1, -1, 3, 8, 30, 2e4, 0, 0, "", 1, 0, 0, "", "", codf("rlnc", 0)); err == nil {
+	if err := runArgs("-proto", "bogus", "-nodes", "60", "-min-hops", "3", "-max-hops", "8", "-duration", "30", "-cbr", "0"); err == nil {
 		t.Fatal("unknown protocol must fail")
 	}
 }
 
 func TestRunBadQuality(t *testing.T) {
-	if err := run(context.Background(), "omnc", 60, 6, 1, -1, -1, 3, 8, 30, 2e4, 0, 0.05, "", 1, 0, 0, "", "", codf("rlnc", 0)); err == nil {
+	if err := runArgs("-nodes", "60", "-min-hops", "3", "-max-hops", "8", "-duration", "30", "-cbr", "0", "-quality", "0.05"); err == nil {
 		t.Fatal("bad quality target must fail")
 	}
 }
 
 func TestRunParallelTrials(t *testing.T) {
-	if err := run(context.Background(), "etx", 100, 6, 3, -1, -1, 3, 8, 40, 2e4, 0, 0, "", 4, 2, 0, "", "", codf("rlnc", 0)); err != nil {
+	if err := runArgs("-proto", "etx", "-nodes", "100", "-seed", "3", "-min-hops", "3", "-max-hops", "8", "-duration", "40", "-cbr", "0", "-trials", "4", "-workers", "2"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunParallelEngine(t *testing.T) {
-	if err := run(context.Background(), "omnc", 100, 6, 3, -1, -1, 3, 8, 40, 2e4, 1e4, 0, "", 1, 0, 2, "", "", codf("rlnc", 0)); err != nil {
+	if err := runArgs("-nodes", "100", "-seed", "3", "-min-hops", "3", "-max-hops", "8", "-duration", "40", "-engine-workers", "2"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsBadTrials(t *testing.T) {
-	if err := run(context.Background(), "etx", 100, 6, 3, -1, -1, 3, 8, 40, 2e4, 0, 0, "", 0, 1, 0, "", "", codf("rlnc", 0)); err == nil {
+	if err := runArgs("-proto", "etx", "-nodes", "100", "-seed", "3", "-min-hops", "3", "-max-hops", "8", "-duration", "40", "-cbr", "0", "-trials", "0", "-workers", "1"); err == nil {
 		t.Fatal("zero trials must fail")
 	}
 }
@@ -79,7 +80,7 @@ func TestRunWithFaultPlan(t *testing.T) {
 	if err := os.WriteFile(plan, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), "omnc", 100, 6, 3, -1, -1, 3, 8, 40, 2e4, 1e4, 0, "", 1, 0, 0, plan, "", codf("rlnc", 0)); err != nil {
+	if err := runArgs("-nodes", "100", "-seed", "3", "-min-hops", "3", "-max-hops", "8", "-duration", "40", "-faults", plan); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -94,35 +95,34 @@ func TestRunRejectsBadFaultPlan(t *testing.T) {
 	if err := os.WriteFile(plan, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), "omnc", 60, 6, 1, -1, -1, 3, 8, 30, 2e4, 0, 0, "", 1, 0, 0, plan, "", codf("rlnc", 0)); err == nil {
+	if err := runArgs("-nodes", "60", "-min-hops", "3", "-max-hops", "8", "-duration", "30", "-cbr", "0", "-faults", plan); err == nil {
 		t.Fatal("invalid fault plan must fail")
 	}
-	if err := run(context.Background(), "omnc", 60, 6, 1, -1, -1, 3, 8, 30, 2e4, 0, 0, "", 1, 0, 0,
-		filepath.Join(t.TempDir(), "missing.json"), "", codf("rlnc", 0)); err == nil {
+	if err := runArgs("-nodes", "60", "-min-hops", "3", "-max-hops", "8", "-duration", "30", "-cbr", "0", "-faults", filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing fault plan file must fail")
 	}
 }
 
 func TestRunSchemeFlag(t *testing.T) {
 	for _, scheme := range []string{"rlnc-e2e", "rs"} {
-		if err := run(context.Background(), "omnc", 100, 6, 3, -1, -1, 3, 8, 40, 2e4, 1e4, 0, "", 1, 0, 0, "", "", codf(scheme, 2)); err != nil {
+		if err := runArgs("-nodes", "100", "-seed", "3", "-min-hops", "3", "-max-hops", "8", "-duration", "40", "-scheme", scheme, "-redundancy", "2"); err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
 	}
 }
 
 func TestRunRejectsBadSchemeAndRedundancy(t *testing.T) {
-	if err := run(context.Background(), "omnc", 60, 6, 1, -1, -1, 3, 8, 30, 2e4, 0, 0, "", 1, 0, 0, "", "", codf("fountain", 0)); err == nil {
+	if err := runArgs("-nodes", "60", "-min-hops", "3", "-max-hops", "8", "-duration", "30", "-cbr", "0", "-scheme", "fountain"); err == nil {
 		t.Fatal("unknown scheme must fail")
 	}
-	if err := run(context.Background(), "omnc", 60, 6, 1, -1, -1, 3, 8, 30, 2e4, 0, 0, "", 1, 0, 0, "", "", codf("rlnc", 0.5)); err == nil {
+	if err := runArgs("-nodes", "60", "-min-hops", "3", "-max-hops", "8", "-duration", "30", "-cbr", "0", "-redundancy", "0.5"); err == nil {
 		t.Fatal("sub-unit redundancy must fail")
 	}
 }
 
 func TestRunWritesReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.json")
-	if err := run(context.Background(), "omnc", 100, 6, 3, -1, -1, 3, 8, 40, 2e4, 1e4, 0, "", 1, 0, 0, "", out, codf("rlnc", 0)); err != nil {
+	if err := runArgs("-nodes", "100", "-seed", "3", "-min-hops", "3", "-max-hops", "8", "-duration", "40", "-report", out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -140,12 +140,52 @@ func TestRunWritesReport(t *testing.T) {
 
 func TestRunRejectsReportWithTrials(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.json")
-	if err := run(context.Background(), "etx", 100, 6, 3, -1, -1, 3, 8, 40, 2e4, 0, 0, "", 4, 2, 0, "", out, codf("rlnc", 0)); err == nil {
+	if err := runArgs("-proto", "etx", "-nodes", "100", "-seed", "3", "-min-hops", "3", "-max-hops", "8", "-duration", "40", "-cbr", "0", "-trials", "4", "-workers", "2", "-report", out); err == nil {
 		t.Fatal("-report with -trials > 1 must fail")
 	}
 }
 
-// codf builds the coding flag block the way flag parsing would.
-func codf(scheme string, redundancy float64) *cliflags.CodingFlags {
-	return &cliflags.CodingFlags{Scheme: scheme, Redundancy: redundancy}
+// TestEmptyCommandLineHashesLikeMinimalSpec: omnc-sim's flags spell out every
+// session default, and the Spec they build must still share the content
+// address of the minimal Spec naming the same session — so `omnc-sim -seed 3`
+// and a daemon job {"kind":"session","seed":3} land in one run directory.
+func TestEmptyCommandLineHashesLikeMinimalSpec(t *testing.T) {
+	f, err := parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := jobs.Decode([]byte(`{"version":1,"kind":"session","seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Hash() != want.Hash() {
+		t.Fatalf("empty command line builds %+v, hashing %s; the minimal Spec hashes %s", got, got.Hash(), want.Hash())
+	}
+	// -cbr 0 is not a default: it is the backlogged source.
+	if f, err = parse("-cbr", "0"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = f.resolve(); err != nil || got.Hash() == want.Hash() {
+		t.Fatalf("-cbr 0 hashes like the default CBR rate (err %v)", err)
+	}
+}
+
+// runArgs drives omnc-sim the way main does: register the flags, parse the
+// command line, run.
+func runArgs(args ...string) error {
+	f, err := parse(args...)
+	if err != nil {
+		return err
+	}
+	return f.run(context.Background())
+}
+
+func parse(args ...string) (*flags, error) {
+	fs := flag.NewFlagSet("omnc-sim", flag.ContinueOnError)
+	f := register(fs)
+	return f, fs.Parse(args)
 }

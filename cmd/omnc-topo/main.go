@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 
-	"omnc"
 	"omnc/internal/cliflags"
 	"omnc/internal/graph"
 	"omnc/internal/jobs"
@@ -27,41 +26,48 @@ import (
 	"omnc/internal/topology"
 )
 
-func main() {
-	var (
-		nodes   = flag.Int("nodes", 300, "deployment size")
-		density = flag.Float64("density", 6, "expected nodes per range disk")
-		seed    = flag.Int64("seed", 1, "deployment seed")
-		quality = flag.Float64("quality", 0, "target mean link quality (0 = default lossy)")
-		links   = flag.String("links", "", "write the directed link set as CSV to this path")
-		svg     = flag.String("svg", "", "render the deployment as SVG to this path")
-	)
-	cod := cliflags.RegisterCoding(flag.CommandLine,
-		"coding scheme the deployment is inspected for: rlnc, rlnc-e2e or rs (validated and echoed)",
-		"source emission cap as a factor of the generation size (0 = rateless; validated and echoed)")
-	app := cliflags.New("omnc-topo", flag.CommandLine)
-	app.Main(func(ctx context.Context) error {
-		return run(ctx, *nodes, *density, *seed, *quality, *links, *svg, cod)
-	})
+// flags is omnc-topo's command line: the topo Spec its flags are bound to
+// and the two output paths.
+type flags struct {
+	spec       jobs.Spec
+	links, svg string
 }
 
-func run(ctx context.Context, nodes int, density float64, seed int64, quality float64, linksPath, svgPath string, cod *cliflags.CodingFlags) error {
-	spec := jobs.Spec{
-		Version: jobs.SpecVersion, Kind: jobs.KindTopo,
-		Seed: seed, Nodes: nodes, Density: density, MeanQuality: quality,
-	}
-	cod.Apply(&spec)
+// register binds omnc-topo's flags to a topo Spec seeded from the defaults
+// table.
+func register(fs *flag.FlagSet) *flags {
+	f := &flags{spec: jobs.Defaults(jobs.KindTopo, false)}
+	s := &f.spec
+	fs.IntVar(&s.Nodes, "nodes", s.Nodes, "deployment size")
+	fs.Float64Var(&s.Density, "density", s.Density, "expected nodes per range disk")
+	fs.Int64Var(&s.Seed, "seed", 1, "deployment seed")
+	fs.Float64Var(&s.MeanQuality, "quality", s.MeanQuality, "target mean link quality (0 = default lossy)")
+	fs.StringVar(&f.links, "links", "", "write the directed link set as CSV to this path")
+	fs.StringVar(&f.svg, "svg", "", "render the deployment as SVG to this path")
+	cliflags.Coding(fs, s,
+		"coding scheme the deployment is inspected for: rlnc, rlnc-e2e or rs (validated and echoed)",
+		"source emission cap as a factor of the generation size (0 = rateless; validated and echoed)")
+	return f
+}
+
+func main() {
+	f := register(flag.CommandLine)
+	cliflags.New("omnc-topo", flag.CommandLine).Main(f.run)
+}
+
+func (f *flags) run(ctx context.Context) error {
+	return run(ctx, f.spec, f.links, f.svg)
+}
+
+func run(ctx context.Context, spec jobs.Spec, linksPath, svgPath string) error {
 	res, err := jobs.Run(ctx, spec)
 	if err != nil {
 		return err
 	}
 	nw := res.Network
-	// The scheme is validated by the Spec; re-parse only to echo its recoding
-	// behaviour in the summary line.
-	schemeVal, err := omnc.ParseScheme(cod.Scheme)
-	if err != nil {
-		return err
-	}
+	// The Spec vetted the scheme; its mapped form is echoed in the summary
+	// line with its recoding behaviour.
+	cfg := spec.Config()
 
 	var degrees, qualities []float64
 	linkCount := 0
@@ -96,14 +102,14 @@ func run(ctx context.Context, nodes int, density float64, seed int64, quality fl
 	fmt.Printf("link quality:        %s\n", metrics.Summarize(qualities))
 	fmt.Printf("reachable from 0:    %d/%d (max %d hops)\n", reachable, nw.Size(), maxHops)
 	relays := "relays re-encode"
-	if !schemeVal.Recodes() {
+	if !cfg.Scheme.Recodes() {
 		relays = "relays forward verbatim"
 	}
 	redLabel := "rateless"
-	if cod.Redundancy > 0 {
-		redLabel = fmt.Sprintf("%.2fx", cod.Redundancy)
+	if cfg.Redundancy > 0 {
+		redLabel = fmt.Sprintf("%.2fx", cfg.Redundancy)
 	}
-	fmt.Printf("coding scheme:       %s (%s), redundancy %s\n", schemeVal, relays, redLabel)
+	fmt.Printf("coding scheme:       %s (%s), redundancy %s\n", cfg.Scheme, relays, redLabel)
 
 	if svgPath != "" {
 		f, err := os.Create(svgPath)

@@ -2,18 +2,18 @@ package main
 
 import (
 	"context"
+	"flag"
+	"omnc/internal/jobs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"omnc/internal/cliflags"
 )
 
 func TestRunPrintsStatsAndWritesLinks(t *testing.T) {
 	dir := t.TempDir()
 	links := filepath.Join(dir, "links.csv")
-	if err := run(context.Background(), 60, 6, 3, 0, links, "", codf("rlnc", 0)); err != nil {
+	if err := runArgs("-nodes", "60", "-seed", "3", "-links", links); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(links)
@@ -30,7 +30,7 @@ func TestRunPrintsStatsAndWritesLinks(t *testing.T) {
 }
 
 func TestRunHighQuality(t *testing.T) {
-	if err := run(context.Background(), 40, 6, 1, 0.9, "", "", codf("rs", 2)); err != nil {
+	if err := runArgs("-nodes", "40", "-quality", "0.9", "-scheme", "rs", "-redundancy", "2"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -38,7 +38,7 @@ func TestRunHighQuality(t *testing.T) {
 func TestRunWritesSVG(t *testing.T) {
 	dir := t.TempDir()
 	svg := filepath.Join(dir, "topo.svg")
-	if err := run(context.Background(), 40, 6, 2, 0, "", svg, codf("rlnc", 0)); err != nil {
+	if err := runArgs("-nodes", "40", "-seed", "2", "-svg", svg); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(svg)
@@ -51,24 +51,49 @@ func TestRunWritesSVG(t *testing.T) {
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if err := run(context.Background(), 1, 6, 1, 0, "", "", codf("rlnc", 0)); err == nil {
+	if err := runArgs("-nodes", "1"); err == nil {
 		t.Fatal("single node must fail")
 	}
-	if err := run(context.Background(), 40, 6, 1, 0.05, "", "", codf("rlnc", 0)); err == nil {
+	if err := runArgs("-nodes", "40", "-quality", "0.05"); err == nil {
 		t.Fatal("uncalibratable quality must fail")
 	}
 }
 
 func TestRunRejectsBadScheme(t *testing.T) {
-	if err := run(context.Background(), 40, 6, 1, 0, "", "", codf("fountain", 0)); err == nil {
+	if err := runArgs("-nodes", "40", "-scheme", "fountain"); err == nil {
 		t.Fatal("unknown scheme must fail")
 	}
-	if err := run(context.Background(), 40, 6, 1, 0, "", "", codf("rlnc", 0.5)); err == nil {
+	if err := runArgs("-nodes", "40", "-redundancy", "0.5"); err == nil {
 		t.Fatal("sub-unit redundancy must fail")
 	}
 }
 
-// codf builds the coding flag block the way flag parsing would.
-func codf(scheme string, redundancy float64) *cliflags.CodingFlags {
-	return &cliflags.CodingFlags{Scheme: scheme, Redundancy: redundancy}
+func TestEmptyCommandLineHashesLikeMinimalSpec(t *testing.T) {
+	f, err := parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := jobs.Decode([]byte(`{"version":1,"kind":"topo","seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.spec.Hash() != want.Hash() {
+		t.Fatalf("empty command line builds %+v, hashing %s; the minimal Spec hashes %s", f.spec, f.spec.Hash(), want.Hash())
+	}
+}
+
+// runArgs drives omnc-topo the way main does: register the flags, parse the
+// command line, run.
+func runArgs(args ...string) error {
+	f, err := parse(args...)
+	if err != nil {
+		return err
+	}
+	return f.run(context.Background())
+}
+
+func parse(args ...string) (*flags, error) {
+	fs := flag.NewFlagSet("omnc-topo", flag.ContinueOnError)
+	f := register(fs)
+	return f, fs.Parse(args)
 }

@@ -1,10 +1,9 @@
-// Package cliflags is the shared scaffold of the omnc command-line tools.
-// Every CLI used to carry the same boilerplate — profiling flags, a
-// hand-rolled error exit, its own copy of the -scheme/-redundancy and
-// -workers/-engine-workers blocks — once per tool. This package holds it
-// once for all four: an App that owns flag parsing, -version, profiling and
-// interrupt-aware context plumbing, plus composable flag groups that build
-// the corresponding fields of a jobs.Spec.
+// Package cliflags is the shared scaffold of the omnc command-line tools:
+// an App that owns flag parsing, -version, profiling and interrupt-aware
+// context plumbing, plus the two flag groups every tool shares, bound
+// straight to the fields of the jobs.Spec the command owns. A command seeds
+// that Spec from jobs.Defaults, so a flag's -h default is whatever the Spec
+// field holds when the flag is registered — the defaults table, read once.
 package cliflags
 
 import (
@@ -76,63 +75,23 @@ func (a *App) RunParsed(run func(ctx context.Context) error) int {
 	return 0
 }
 
-// CodingFlags is the -scheme/-redundancy/-field block every tool shares.
-type CodingFlags struct {
-	Scheme     string
-	Redundancy float64
-	Field      string
+// Coding binds the -scheme/-redundancy/-field block every tool shares to
+// the Spec. The scheme and redundancy usage strings vary slightly per tool,
+// so the caller supplies them; -field reads the same everywhere.
+func Coding(fs *flag.FlagSet, s *jobs.Spec, schemeUsage, redundancyUsage string) {
+	fs.StringVar(&s.Scheme, "scheme", s.Scheme, schemeUsage)
+	fs.Float64Var(&s.Redundancy, "redundancy", s.Redundancy, redundancyUsage)
+	fs.StringVar(&s.Field, "field", s.Field, "coefficient field: 8 (GF(2^8), the paper's) or 16 (GF(2^16))")
 }
 
-// RegisterCoding adds the coding-scheme flag block to fs. The scheme and
-// redundancy usage strings vary slightly per tool, so the caller supplies
-// them; -field reads the same everywhere.
-func RegisterCoding(fs *flag.FlagSet, schemeUsage, redundancyUsage string) *CodingFlags {
-	c := &CodingFlags{}
-	fs.StringVar(&c.Scheme, "scheme", "rlnc", schemeUsage)
-	fs.Float64Var(&c.Redundancy, "redundancy", 0, redundancyUsage)
-	fs.StringVar(&c.Field, "field", "8", "coefficient field: 8 (GF(2^8), the paper's) or 16 (GF(2^16))")
-	return c
-}
-
-// Apply writes the block into the Spec, normalizing the default scheme and
-// field names to the Spec's zero values so flag-built and hand-written specs
-// hash alike.
-func (c *CodingFlags) Apply(s *jobs.Spec) {
-	if c.Scheme != "" && c.Scheme != "rlnc" {
-		s.Scheme = c.Scheme
-	} else {
-		s.Scheme = ""
-	}
-	s.Redundancy = c.Redundancy
-	if c.Field != "" && c.Field != "8" {
-		s.Field = c.Field
-	} else {
-		s.Field = ""
-	}
-}
-
-// PoolFlags is the -workers/-engine-workers block.
-type PoolFlags struct {
-	Workers       int
-	EngineWorkers int
-}
-
-// RegisterPool adds the worker-pool flag block to fs. engine controls
+// Pool binds the -workers/-engine-workers block to the Spec. engine controls
 // whether the tool exposes -engine-workers (omnc-drift's loopback sessions
 // have no event engine to parallelize).
-func RegisterPool(fs *flag.FlagSet, engine bool) *PoolFlags {
-	p := &PoolFlags{}
-	fs.IntVar(&p.Workers, "workers", 0, "concurrent session emulations (0 = all cores, 1 = serial); results are identical either way")
+func Pool(fs *flag.FlagSet, s *jobs.Spec, engine bool) {
+	fs.IntVar(&s.Workers, "workers", s.Workers, "concurrent session emulations (0 = all cores, 1 = serial); results are identical either way")
 	if engine {
-		fs.IntVar(&p.EngineWorkers, "engine-workers", 0, "parallel event-engine workers per session (0 = serial engine); results are identical either way")
+		fs.IntVar(&s.EngineWorkers, "engine-workers", s.EngineWorkers, "parallel event-engine workers per session (0 = serial engine); results are identical either way")
 	}
-	return p
-}
-
-// Apply writes the block into the Spec.
-func (p *PoolFlags) Apply(s *jobs.Spec) {
-	s.Workers = p.Workers
-	s.EngineWorkers = p.EngineWorkers
 }
 
 // StartProgressTicker reports sweep progress to stderr every five seconds

@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
-	"omnc/internal/core"
-	"omnc/internal/graph"
 	"omnc/internal/metrics"
 	"omnc/internal/parallel"
 	"omnc/internal/protocol"
@@ -32,6 +29,8 @@ type DriftSweepConfig struct {
 // DriftSweepResult maps each jitter level to the distribution of session
 // throughputs.
 type DriftSweepResult struct {
+	// Network is the deployment every session of the sweep ran on.
+	Network *topology.Network
 	Jitters []float64
 	// Throughput[i] summarizes session throughputs at Jitters[i].
 	Throughput []metrics.Summary
@@ -48,42 +47,14 @@ func DriftSweep(cfg DriftSweepConfig) (*DriftSweepResult, error) {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 3
 	}
-	nw, err := topology.Generate(topology.Config{
-		Nodes:   base.Nodes,
-		Density: base.Density,
-		PHY:     topology.DefaultPHY(),
-		Seed:    base.Seed,
-	})
+	nw, err := base.Deployment()
 	if err != nil {
 		return nil, err
 	}
-	adj := make([][]int, nw.Size())
-	for i := range adj {
-		adj[i] = nw.Neighbors(i)
-	}
-
 	// Fixed session set across jitter levels, so the sweep is paired.
-	type pair struct{ src, dst int }
-	var pairs []pair
-	rng := rand.New(rand.NewSource(seedmix.Derive(base.Seed, streamDriftPairs)))
-	attempts := 0
-	for len(pairs) < base.Sessions && attempts < 200*base.Sessions {
-		attempts++
-		src, dst := rng.Intn(nw.Size()), rng.Intn(nw.Size())
-		if src == dst {
-			continue
-		}
-		h := graph.HopCounts(adj, src)[dst]
-		if h < base.MinHops || h > base.MaxHops {
-			continue
-		}
-		if _, err := core.SelectNodes(nw, src, dst); err != nil {
-			continue
-		}
-		pairs = append(pairs, pair{src, dst})
-	}
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("experiments: no sessions for the drift sweep")
+	pairs, err := placeSessions(nw, base, streamDriftPairs)
+	if err != nil {
+		return nil, err
 	}
 
 	// The sweep is a flat grid of (jitter level, session) cells; every cell
@@ -99,16 +70,7 @@ func DriftSweep(cfg DriftSweepConfig) (*DriftSweepResult, error) {
 	err = parallel.ForEachCtx(ctxOrBackground(base.Ctx), cells, parallel.Workers(base.Workers), func(i int) error {
 		ji, si := i/len(pairs), i%len(pairs)
 		p := pairs[si]
-		pcfg := protocol.Config{
-			Coding:        base.Coding,
-			AirPacketSize: base.AirPacketSize,
-			Capacity:      base.Capacity,
-			Duration:      base.Duration,
-			CBRRate:       base.CBRRate,
-			MAC:           base.MAC,
-			Seed:          TrialSeed(base.Seed, si),
-			EngineWorkers: base.EngineWorkers,
-		}
+		pcfg := base.SessionConfig(TrialSeed(base.Seed, si))
 		ds, err := protocol.RunWithDrift(nw, p.src, p.dst,
 			protocol.OMNC(base.RateOptions), pcfg, protocol.DriftConfig{
 				Epochs:         cfg.Epochs,
@@ -128,7 +90,7 @@ func DriftSweep(cfg DriftSweepConfig) (*DriftSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &DriftSweepResult{Jitters: cfg.Jitters}
+	out := &DriftSweepResult{Network: nw, Jitters: cfg.Jitters}
 	for ji := range cfg.Jitters {
 		out.Throughput = append(out.Throughput, metrics.Summarize(tps[ji]))
 	}

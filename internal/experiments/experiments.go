@@ -1,5 +1,6 @@
 // Package experiments reproduces the evaluation of Sec. 5: every table and
-// figure has a runner that regenerates its series. The shared RunComparison
+// figure has a runner that regenerates its series, and every runner reads
+// one description of the experiment, Config. The shared RunComparison
 // harness emulates the same randomly placed unicast sessions under all four
 // protocols (OMNC, MORE, oldMORE, ETX routing); the figure-specific views
 // derive the distributions the paper plots:
@@ -64,7 +65,13 @@ const (
 	ProtoETX     = "etx"
 )
 
-// Config describes one comparison experiment (a Fig. 2/3/4-style run).
+// Config is the one description of the base experiment — the paper's Sec. 5
+// set-up: a random deployment, unicast sessions a few hops apart, a CBR
+// source at half the channel capacity, 40-block generations in 1 KB frames.
+// RunComparison runs it as is (Figs. 2-4); the sweeps (MultiConfig,
+// FaultsConfig, SchemesConfig, DriftSweepConfig) hold one as Base and vary
+// their own axes over it. Deployment and SessionConfig are the only places
+// a deployment and a per-trial protocol.Config are built from it.
 type Config struct {
 	// Nodes and Density describe the random deployment (paper: 300 at
 	// density 6).
@@ -174,30 +181,34 @@ func QuickConfig(seed int64) Config {
 	return cfg
 }
 
+// withDefaults fills zero fields from QuickConfig, the one statement of the
+// laptop-scale base experiment. CBRRate and QueueSampleInterval keep their
+// zero meanings (backlogged source, no sampling).
 func (c Config) withDefaults() Config {
+	d := QuickConfig(c.Seed)
 	if c.Nodes == 0 {
-		c.Nodes = 300
+		c.Nodes = d.Nodes
 	}
 	if c.Density == 0 {
-		c.Density = 6
+		c.Density = d.Density
 	}
 	if c.Sessions == 0 {
-		c.Sessions = 30
+		c.Sessions = d.Sessions
 	}
 	if c.MinHops == 0 {
-		c.MinHops = 4
+		c.MinHops = d.MinHops
 	}
 	if c.MaxHops == 0 {
-		c.MaxHops = 10
+		c.MaxHops = d.MaxHops
 	}
 	if c.Duration == 0 {
-		c.Duration = 200
+		c.Duration = d.Duration
 	}
 	if c.Capacity == 0 {
-		c.Capacity = 2e4
+		c.Capacity = d.Capacity
 	}
 	if c.Coding.GenerationSize == 0 {
-		c.Coding = coding.Params{GenerationSize: 40, BlockSize: 8, Strategy: gf256.StrategyAccel}
+		c.Coding = d.Coding
 	}
 	if c.AirPacketSize == 0 {
 		c.AirPacketSize = c.Coding.CoeffBytes() + 1024
@@ -206,6 +217,65 @@ func (c Config) withDefaults() Config {
 		c.Protocols = []string{ProtoOMNC, ProtoMORE, ProtoOldMORE, ProtoETX}
 	}
 	return c
+}
+
+// Deployment generates the experiment's network: Nodes at Density placed
+// from Seed, with transmit power calibrated to MeanQuality when one is set.
+// Every runner and job kind that needs a random deployment builds it here.
+func (c Config) Deployment() (*topology.Network, error) {
+	c = c.withDefaults()
+	nw, err := topology.Generate(topology.Config{
+		Nodes:   c.Nodes,
+		Density: c.Density,
+		PHY:     topology.DefaultPHY(),
+		Seed:    c.Seed,
+	})
+	if err != nil || c.MeanQuality <= 0 {
+		return nw, err
+	}
+	phy, err := topology.DefaultPHY().CalibrateGain(c.MeanQuality)
+	if err != nil {
+		return nil, err
+	}
+	return nw.WithPHY(phy)
+}
+
+// SessionConfig returns the protocol.Config of one emulated trial of the
+// experiment, seeded by seed — the runners derive that seed from their own
+// frozen stream and attach what is theirs alone (a fault plan, a trace).
+func (c Config) SessionConfig(seed int64) protocol.Config {
+	return protocol.Config{
+		Coding:              c.Coding,
+		Scheme:              c.Scheme,
+		Redundancy:          c.Redundancy,
+		AirPacketSize:       c.AirPacketSize,
+		Capacity:            c.Capacity,
+		Duration:            c.Duration,
+		CBRRate:             c.CBRRate,
+		Seed:                seed,
+		QueueSampleInterval: c.QueueSampleInterval,
+		MAC:                 c.MAC,
+		Report:              c.Report,
+		EngineWorkers:       c.EngineWorkers,
+	}
+}
+
+// Protocol maps a protocol name to its Protocol value, single- and
+// multi-session capable; opts tunes OMNC's rate controller.
+func Protocol(name string, opts core.Options) (protocol.Protocol, error) {
+	switch name {
+	case ProtoOMNC:
+		return protocol.NewProtocol("omnc", protocol.OMNC(opts)).
+			WithMulti(protocol.OMNCMulti(opts)), nil
+	case ProtoMORE:
+		return protocol.NewProtocol("more", routing.MORE()), nil
+	case ProtoOldMORE:
+		return protocol.NewProtocol("oldmore", routing.OldMORE()), nil
+	case ProtoETX:
+		return routing.ETXProtocol(), nil
+	default:
+		return protocol.Protocol{}, fmt.Errorf("unknown protocol %q", name)
+	}
 }
 
 // SessionResult holds one session's endpoints and per-protocol statistics.
@@ -245,26 +315,12 @@ type trial struct {
 // trials ran on one worker or thirty-two.
 func RunComparison(cfg Config) (*Comparison, error) {
 	cfg = cfg.withDefaults()
-	nw, err := topology.Generate(topology.Config{
-		Nodes:   cfg.Nodes,
-		Density: cfg.Density,
-		PHY:     topology.DefaultPHY(),
-		Seed:    cfg.Seed,
-	})
+	nw, err := cfg.Deployment()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MeanQuality > 0 {
-		phy, err := topology.DefaultPHY().CalibrateGain(cfg.MeanQuality)
-		if err != nil {
-			return nil, err
-		}
-		if nw, err = nw.WithPHY(phy); err != nil {
-			return nil, err
-		}
-	}
 
-	trials, err := placeSessions(nw, cfg)
+	trials, err := placeSessions(nw, cfg, streamPlacement)
 	if err != nil {
 		return nil, err
 	}
@@ -290,16 +346,17 @@ func RunComparison(cfg Config) (*Comparison, error) {
 	return out, nil
 }
 
-// placeSessions samples (src, dst) candidates from the placement RNG stream
-// until Config.Sessions pairs satisfy the hop constraint and have a feasible
-// forwarder subgraph. It is deliberately serial: one RNG stream consumed in
-// a fixed order is what makes the trial list a pure function of the seed.
-func placeSessions(nw *topology.Network, cfg Config) ([]trial, error) {
+// placeSessions samples (src, dst) candidates from the given placement RNG
+// stream until Config.Sessions pairs satisfy the hop constraint and have a
+// feasible forwarder subgraph. It is deliberately serial: one RNG stream
+// consumed in a fixed order is what makes the trial list a pure function of
+// the seed.
+func placeSessions(nw *topology.Network, cfg Config, stream int64) ([]trial, error) {
 	adj := make([][]int, nw.Size())
 	for i := range adj {
 		adj[i] = nw.Neighbors(i)
 	}
-	rng := rand.New(rand.NewSource(seedmix.Derive(cfg.Seed, streamPlacement)))
+	rng := rand.New(rand.NewSource(seedmix.Derive(cfg.Seed, stream)))
 
 	var trials []trial
 	attempts := 0
@@ -332,38 +389,14 @@ func placeSessions(nw *topology.Network, cfg Config) ([]trial, error) {
 }
 
 func runSession(nw *topology.Network, sg *core.Subgraph, src, dst int, cfg Config, idx int) (*SessionResult, error) {
-	pcfg := protocol.Config{
-		Coding:              cfg.Coding,
-		Scheme:              cfg.Scheme,
-		Redundancy:          cfg.Redundancy,
-		AirPacketSize:       cfg.AirPacketSize,
-		Capacity:            cfg.Capacity,
-		Duration:            cfg.Duration,
-		CBRRate:             cfg.CBRRate,
-		Seed:                TrialSeed(cfg.Seed, idx),
-		QueueSampleInterval: cfg.QueueSampleInterval,
-		MAC:                 cfg.MAC,
-		Report:              cfg.Report,
-		EngineWorkers:       cfg.EngineWorkers,
-	}
+	pcfg := cfg.SessionConfig(TrialSeed(cfg.Seed, idx))
 	res := &SessionResult{Src: src, Dst: dst, ByProtocol: make(map[string]*protocol.Stats, len(cfg.Protocols))}
 	for _, name := range cfg.Protocols {
-		var (
-			st  *protocol.Stats
-			err error
-		)
-		switch name {
-		case ProtoOMNC:
-			st, err = protocol.Run(nw, src, dst, protocol.OMNC(cfg.RateOptions), pcfg)
-		case ProtoMORE:
-			st, err = protocol.Run(nw, src, dst, routing.MORE(), pcfg)
-		case ProtoOldMORE:
-			st, err = protocol.Run(nw, src, dst, routing.OldMORE(), pcfg)
-		case ProtoETX:
-			st, err = routing.RunETX(nw, src, dst, pcfg)
-		default:
-			return nil, fmt.Errorf("unknown protocol %q", name)
+		proto, err := Protocol(name, cfg.RateOptions)
+		if err != nil {
+			return nil, err
 		}
+		st, err := proto.Run(nw, src, dst, pcfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}

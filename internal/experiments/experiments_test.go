@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -396,6 +397,22 @@ func TestDriftSweep(t *testing.T) {
 		if s.Mean <= 0 {
 			t.Fatalf("level %d mean throughput %v", i, s.Mean)
 		}
+	}
+}
+
+// TestDriftSweepCalibratesMeanQuality: the sweep runs on the deployment the
+// base experiment describes, so a high-quality target moves the network off
+// the lossy default (mean link quality ~0.58).
+func TestDriftSweepCalibratesMeanQuality(t *testing.T) {
+	cfg := tinyConfig(41)
+	cfg.Sessions = 1
+	cfg.MeanQuality = 0.91
+	res, err := DriftSweep(DriftSweepConfig{Base: cfg, Jitters: []float64{0}, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := res.Network.MeanLinkQuality(); math.Abs(q-0.91) > 0.02 {
+		t.Fatalf("drift sweep ran on mean link quality %.3f, want ~0.91", q)
 	}
 }
 

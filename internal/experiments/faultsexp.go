@@ -1,21 +1,16 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 
-	"omnc/internal/coding"
 	"omnc/internal/core"
 	"omnc/internal/faults"
-	"omnc/internal/metrics"
 	"omnc/internal/parallel"
 	"omnc/internal/protocol"
-	"omnc/internal/routing"
 	"omnc/internal/seedmix"
-	"omnc/internal/sim"
 	"omnc/internal/topology"
 	"omnc/internal/trace"
 )
@@ -26,81 +21,29 @@ import (
 // (endpoints protected); rate 0 is the fault-free baseline and takes the
 // exact nil-plan path, so its numbers are bit-identical to RunComparison's.
 type FaultsConfig struct {
-	// Nodes and Density describe the random deployment.
-	Nodes   int
-	Density float64
-	// MeanQuality calibrates transmit power; 0 keeps the lossy default.
-	MeanQuality float64
-	// Sessions is how many placed (src, dst) pairs are averaged per churn
-	// rate.
-	Sessions int
-	// MinHops and MaxHops constrain endpoint placement.
-	MinHops, MaxHops int
-	// Duration, Capacity and CBRRate parameterize each emulated session.
-	Duration float64
-	Capacity float64
-	CBRRate  float64
-	// Coding parameters and on-air frame size, as in Config.
-	Coding        coding.Params
-	AirPacketSize int
+	// Base is the experiment the sweep varies: deployment, hop constraint,
+	// per-session parameters, protocols, seed and worker pool. Base.Sessions
+	// is how many placed (src, dst) pairs are averaged per churn rate
+	// (default 3); Progress counts completed (pair, churn rate) cells.
+	Base Config
 	// ChurnRates are the x-axis points in crashes (and flap/burst episodes)
 	// per 100 emulated seconds. Default {0, 2, 5}.
 	ChurnRates []float64
 	// MeanDowntime is the mean crash-to-recover delay in seconds. Default
 	// Duration/8.
 	MeanDowntime float64
-	// Protocols to run; nil means all four.
-	Protocols []string
-	// MAC selects the channel model.
-	MAC sim.Mode
-	// RateOptions tunes OMNC's rate controller.
-	RateOptions core.Options
-	// Seed makes the whole experiment reproducible.
-	Seed int64
-	// Workers bounds concurrent cell emulation; results are bit-identical
-	// for every worker count (fault plans and trial seeds derive from the
-	// cell index, and results land in index-addressed slots).
-	Workers int
-	// EngineWorkers selects each cell's event engine (protocol.Config
-	// EngineWorkers): 0 serial, N >= 1 the parallel engine with N workers.
-	// Results are bit-identical for every value.
-	EngineWorkers int
-	// Progress, when non-nil, is incremented once per completed cell.
-	Progress *metrics.Progress
-	// Ctx, when non-nil, cancels the sweep between cells (Config.Ctx
-	// semantics). Nil means context.Background().
-	Ctx context.Context
 }
 
 func (c FaultsConfig) withDefaults() FaultsConfig {
-	base := Config{
-		Nodes:         c.Nodes,
-		Density:       c.Density,
-		MinHops:       c.MinHops,
-		MaxHops:       c.MaxHops,
-		Duration:      c.Duration,
-		Capacity:      c.Capacity,
-		Coding:        c.Coding,
-		AirPacketSize: c.AirPacketSize,
-		Protocols:     c.Protocols,
-	}.withDefaults()
-	c.Nodes = base.Nodes
-	c.Density = base.Density
-	c.MinHops = base.MinHops
-	c.MaxHops = base.MaxHops
-	c.Duration = base.Duration
-	c.Capacity = base.Capacity
-	c.Coding = base.Coding
-	c.AirPacketSize = base.AirPacketSize
-	c.Protocols = base.Protocols
-	if c.Sessions == 0 {
-		c.Sessions = 3
+	if c.Base.Sessions == 0 {
+		c.Base.Sessions = 3
 	}
+	c.Base = c.Base.withDefaults()
 	if len(c.ChurnRates) == 0 {
 		c.ChurnRates = []float64{0, 2, 5}
 	}
 	if c.MeanDowntime == 0 {
-		c.MeanDowntime = c.Duration / 8
+		c.MeanDowntime = c.Base.Duration / 8
 	}
 	return c
 }
@@ -151,23 +94,10 @@ type faultCellResult struct {
 // Like the other runners it is deterministic for every Workers setting.
 func RunFaultChurn(cfg FaultsConfig) (*FaultChurn, error) {
 	cfg = cfg.withDefaults()
-	nw, err := topology.Generate(topology.Config{
-		Nodes:   cfg.Nodes,
-		Density: cfg.Density,
-		PHY:     topology.DefaultPHY(),
-		Seed:    cfg.Seed,
-	})
+	base := cfg.Base
+	nw, err := base.Deployment()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MeanQuality > 0 {
-		phy, err := topology.DefaultPHY().CalibrateGain(cfg.MeanQuality)
-		if err != nil {
-			return nil, err
-		}
-		if nw, err = nw.WithPHY(phy); err != nil {
-			return nil, err
-		}
 	}
 
 	cells, err := placeFaultCells(nw, cfg)
@@ -176,15 +106,15 @@ func RunFaultChurn(cfg FaultsConfig) (*FaultChurn, error) {
 	}
 
 	results := make([]faultCellResult, len(cells))
-	err = parallel.ForEachCtx(ctxOrBackground(cfg.Ctx), len(cells), parallel.Workers(cfg.Workers), func(i int) error {
+	err = parallel.ForEachCtx(ctxOrBackground(base.Ctx), len(cells), parallel.Workers(base.Workers), func(i int) error {
 		res, err := runFaultCell(nw, cells[i], cfg, i)
 		if err != nil {
 			return fmt.Errorf("experiments: session %d->%d at churn %v: %w",
 				cells[i].src, cells[i].dst, cfg.ChurnRates[cells[i].churnIdx], err)
 		}
 		results[i] = *res
-		if cfg.Progress != nil {
-			cfg.Progress.Add(1)
+		if base.Progress != nil {
+			base.Progress.Add(1)
 		}
 		return nil
 	})
@@ -196,8 +126,8 @@ func RunFaultChurn(cfg FaultsConfig) (*FaultChurn, error) {
 	for ci, churn := range cfg.ChurnRates {
 		pt := FaultPoint{
 			Churn:      churn,
-			Throughput: make(map[string]float64, len(cfg.Protocols)),
-			Recovery:   make(map[string]float64, len(cfg.Protocols)),
+			Throughput: make(map[string]float64, len(base.Protocols)),
+			Recovery:   make(map[string]float64, len(base.Protocols)),
 		}
 		pairs, crashed := 0, 0
 		for i, cell := range cells {
@@ -208,7 +138,7 @@ func RunFaultChurn(cfg FaultsConfig) (*FaultChurn, error) {
 			if results[i].crashes > 0 {
 				crashed++
 			}
-			for _, name := range cfg.Protocols {
+			for _, name := range base.Protocols {
 				pt.Throughput[name] += results[i].throughput[name]
 				pt.Recovery[name] += results[i].recovery[name]
 			}
@@ -216,7 +146,7 @@ func RunFaultChurn(cfg FaultsConfig) (*FaultChurn, error) {
 		if pairs == 0 {
 			return nil, fmt.Errorf("experiments: no cells at churn %v", churn)
 		}
-		for _, name := range cfg.Protocols {
+		for _, name := range base.Protocols {
 			pt.Throughput[name] /= float64(pairs)
 			// Recovery averages over the sessions that saw a crash; a
 			// crash-free cell contributes nothing to either side.
@@ -237,9 +167,8 @@ func placeFaultCells(nw *topology.Network, cfg FaultsConfig) ([]faultCell, error
 	for i := range adj {
 		adj[i] = nw.Neighbors(i)
 	}
-	rng := rand.New(rand.NewSource(seedmix.Derive(cfg.Seed, streamFaultsPlacement)))
-	mcfg := MultiConfig{MinHops: cfg.MinHops, MaxHops: cfg.MaxHops}
-	pairs, err := placeEndpoints(nw, adj, rng, cfg.Sessions, mcfg)
+	rng := rand.New(rand.NewSource(seedmix.Derive(cfg.Base.Seed, streamFaultsPlacement)))
+	pairs, err := placeEndpoints(nw, adj, rng, cfg.Base.Sessions, cfg.Base)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fault placement: %w", err)
 	}
@@ -293,24 +222,25 @@ func cellPlan(cell faultCell, cfg FaultsConfig, idx int) (*faults.Plan, error) {
 	return faults.RandomPlan(faults.RandomPlanConfig{
 		Nodes:        candidates,
 		Links:        links,
-		Horizon:      cfg.Duration,
+		Horizon:      cfg.Base.Duration,
 		CrashRate:    rate,
 		MeanDowntime: cfg.MeanDowntime,
 		FlapRate:     rate,
 		BurstRate:    rate,
-		Seed:         seedmix.Derive(cfg.Seed, streamFaultsPlan, int64(idx)),
+		Seed:         seedmix.Derive(cfg.Base.Seed, streamFaultsPlan, int64(idx)),
 	})
 }
 
 // runFaultCell emulates one cell under every requested protocol.
 func runFaultCell(nw *topology.Network, cell faultCell, cfg FaultsConfig, idx int) (*faultCellResult, error) {
+	base := cfg.Base
 	plan, err := cellPlan(cell, cfg, idx)
 	if err != nil {
 		return nil, err
 	}
 	res := &faultCellResult{
-		throughput: make(map[string]float64, len(cfg.Protocols)),
-		recovery:   make(map[string]float64, len(cfg.Protocols)),
+		throughput: make(map[string]float64, len(base.Protocols)),
+		recovery:   make(map[string]float64, len(base.Protocols)),
 	}
 	if plan != nil {
 		for _, ev := range plan.Events {
@@ -319,45 +249,28 @@ func runFaultCell(nw *topology.Network, cell faultCell, cfg FaultsConfig, idx in
 			}
 		}
 	}
-	for _, name := range cfg.Protocols {
+	for _, name := range base.Protocols {
 		buf := trace.NewBuffer()
-		pcfg := protocol.Config{
-			Coding:        cfg.Coding,
-			AirPacketSize: cfg.AirPacketSize,
-			Capacity:      cfg.Capacity,
-			Duration:      cfg.Duration,
-			CBRRate:       cfg.CBRRate,
-			Seed:          seedmix.Derive(cfg.Seed, streamFaultsTrial, int64(idx)),
-			MAC:           cfg.MAC,
-			Trace:         buf,
-			Faults:        plan,
-			EngineWorkers: cfg.EngineWorkers,
+		pcfg := base.SessionConfig(seedmix.Derive(base.Seed, streamFaultsTrial, int64(idx)))
+		pcfg.Trace = buf
+		pcfg.Faults = plan
+		proto, err := Protocol(name, base.RateOptions)
+		if err != nil {
+			return nil, err
 		}
-		var st *protocol.Stats
-		switch name {
-		case ProtoOMNC:
-			st, err = protocol.Run(nw, cell.src, cell.dst, protocol.OMNC(cfg.RateOptions), pcfg)
-		case ProtoMORE:
-			st, err = protocol.Run(nw, cell.src, cell.dst, routing.MORE(), pcfg)
-		case ProtoOldMORE:
-			st, err = protocol.Run(nw, cell.src, cell.dst, routing.OldMORE(), pcfg)
-		case ProtoETX:
-			st, err = routing.RunETX(nw, cell.src, cell.dst, pcfg)
-		default:
-			return nil, fmt.Errorf("unknown protocol %q", name)
-		}
+		st, err := proto.Run(nw, cell.src, cell.dst, pcfg)
 		switch {
 		case errors.Is(err, protocol.ErrDestinationDown):
 			// Endpoints are protected from crashes, so this cannot happen
 			// from the plan itself; treat it as a dead session if it does.
 			res.throughput[name] = 0
-			res.recovery[name] = cfg.Duration
+			res.recovery[name] = base.Duration
 			continue
 		case err != nil:
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		res.throughput[name] = st.Throughput
-		res.recovery[name] = meanRecovery(buf.Events(), cfg.Duration)
+		res.recovery[name] = meanRecovery(buf.Events(), base.Duration)
 	}
 	return res, nil
 }

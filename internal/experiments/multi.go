@@ -1,92 +1,37 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
-	"omnc/internal/coding"
 	"omnc/internal/core"
 	"omnc/internal/graph"
-	"omnc/internal/metrics"
 	"omnc/internal/parallel"
 	"omnc/internal/protocol"
-	"omnc/internal/routing"
 	"omnc/internal/seedmix"
-	"omnc/internal/sim"
 	"omnc/internal/topology"
 )
 
 // MultiConfig describes the multi-unicast scaling experiment: how aggregate
 // throughput and inter-session fairness evolve as more unicast sessions
 // contend on one shared channel — the multiple-unicast scenario the paper's
-// conclusion points to. Zero fields inherit the defaults documented on
-// Config.
+// conclusion points to.
 type MultiConfig struct {
-	// Nodes and Density describe the random deployment.
-	Nodes   int
-	Density float64
-	// MeanQuality calibrates transmit power; 0 keeps the lossy default.
-	MeanQuality float64
+	// Base is the experiment the sweep varies: deployment, hop constraint,
+	// per-cell session parameters, protocols, seed and worker pool. Its
+	// Sessions field is unused — SessionCounts is the axis — and Progress
+	// counts completed cells.
+	Base Config
 	// SessionCounts are the x-axis points: each entry is a number of
 	// concurrent sessions to emulate. Default {1, 2, 4, 6}.
 	SessionCounts []int
 	// Trials is how many independent placements are averaged per session
 	// count. Default 3.
 	Trials int
-	// MinHops and MaxHops constrain endpoint placement.
-	MinHops, MaxHops int
-	// Duration, Capacity and CBRRate parameterize each emulated cell.
-	Duration float64
-	Capacity float64
-	CBRRate  float64
-	// Coding parameters and on-air frame size, as in Config.
-	Coding        coding.Params
-	AirPacketSize int
-	// Protocols to run; nil means all four.
-	Protocols []string
-	// MAC selects the channel model.
-	MAC sim.Mode
-	// RateOptions tunes OMNC's joint rate controller.
-	RateOptions core.Options
-	// Seed makes the whole experiment reproducible.
-	Seed int64
-	// Workers bounds concurrent cell emulation; results are bit-identical
-	// for every worker count (each cell is seeded from (Seed, cell index)
-	// and lands in a slice slot addressed by that index).
-	Workers int
-	// EngineWorkers selects each cell's event engine (protocol.Config
-	// EngineWorkers): 0 serial, N >= 1 the parallel engine with N workers.
-	// Results are bit-identical for every value.
-	EngineWorkers int
-	// Progress, when non-nil, is incremented once per completed cell.
-	Progress *metrics.Progress
-	// Ctx, when non-nil, cancels the sweep between cells (Config.Ctx
-	// semantics). Nil means context.Background().
-	Ctx context.Context
 }
 
 func (c MultiConfig) withDefaults() MultiConfig {
-	base := Config{
-		Nodes:         c.Nodes,
-		Density:       c.Density,
-		MinHops:       c.MinHops,
-		MaxHops:       c.MaxHops,
-		Duration:      c.Duration,
-		Capacity:      c.Capacity,
-		Coding:        c.Coding,
-		AirPacketSize: c.AirPacketSize,
-		Protocols:     c.Protocols,
-	}.withDefaults()
-	c.Nodes = base.Nodes
-	c.Density = base.Density
-	c.MinHops = base.MinHops
-	c.MaxHops = base.MaxHops
-	c.Duration = base.Duration
-	c.Capacity = base.Capacity
-	c.Coding = base.Coding
-	c.AirPacketSize = base.AirPacketSize
-	c.Protocols = base.Protocols
+	c.Base = c.Base.withDefaults()
 	if len(c.SessionCounts) == 0 {
 		c.SessionCounts = []int{1, 2, 4, 6}
 	}
@@ -140,23 +85,10 @@ type multiCellResult struct {
 // position), and emulation writes into index-addressed slots.
 func RunMultiScaling(cfg MultiConfig) (*MultiScaling, error) {
 	cfg = cfg.withDefaults()
-	nw, err := topology.Generate(topology.Config{
-		Nodes:   cfg.Nodes,
-		Density: cfg.Density,
-		PHY:     topology.DefaultPHY(),
-		Seed:    cfg.Seed,
-	})
+	base := cfg.Base
+	nw, err := base.Deployment()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MeanQuality > 0 {
-		phy, err := topology.DefaultPHY().CalibrateGain(cfg.MeanQuality)
-		if err != nil {
-			return nil, err
-		}
-		if nw, err = nw.WithPHY(phy); err != nil {
-			return nil, err
-		}
 	}
 
 	cells, err := placeMultiCells(nw, cfg)
@@ -165,15 +97,15 @@ func RunMultiScaling(cfg MultiConfig) (*MultiScaling, error) {
 	}
 
 	results := make([]multiCellResult, len(cells))
-	err = parallel.ForEachCtx(ctxOrBackground(cfg.Ctx), len(cells), parallel.Workers(cfg.Workers), func(i int) error {
-		res, err := runMultiCell(nw, cells[i], cfg, i)
+	err = parallel.ForEachCtx(ctxOrBackground(base.Ctx), len(cells), parallel.Workers(base.Workers), func(i int) error {
+		res, err := runMultiCell(nw, cells[i], base, i)
 		if err != nil {
 			return fmt.Errorf("experiments: %d sessions, trial %d: %w",
 				cells[i].count, cells[i].trial, err)
 		}
 		results[i] = *res
-		if cfg.Progress != nil {
-			cfg.Progress.Add(1)
+		if base.Progress != nil {
+			base.Progress.Add(1)
 		}
 		return nil
 	})
@@ -185,8 +117,8 @@ func RunMultiScaling(cfg MultiConfig) (*MultiScaling, error) {
 	for _, count := range cfg.SessionCounts {
 		pt := MultiPoint{
 			Sessions:            count,
-			AggregateThroughput: make(map[string]float64, len(cfg.Protocols)),
-			JainFairness:        make(map[string]float64, len(cfg.Protocols)),
+			AggregateThroughput: make(map[string]float64, len(base.Protocols)),
+			JainFairness:        make(map[string]float64, len(base.Protocols)),
 		}
 		trials := 0
 		for i, cell := range cells {
@@ -194,7 +126,7 @@ func RunMultiScaling(cfg MultiConfig) (*MultiScaling, error) {
 				continue
 			}
 			trials++
-			for _, name := range cfg.Protocols {
+			for _, name := range base.Protocols {
 				pt.AggregateThroughput[name] += results[i].aggregate[name]
 				pt.JainFairness[name] += results[i].jain[name]
 			}
@@ -202,7 +134,7 @@ func RunMultiScaling(cfg MultiConfig) (*MultiScaling, error) {
 		if trials == 0 {
 			return nil, fmt.Errorf("experiments: no feasible placement for %d sessions", count)
 		}
-		for _, name := range cfg.Protocols {
+		for _, name := range base.Protocols {
 			pt.AggregateThroughput[name] /= float64(trials)
 			pt.JainFairness[name] /= float64(trials)
 		}
@@ -227,8 +159,8 @@ func placeMultiCells(nw *topology.Network, cfg MultiConfig) ([]multiCell, error)
 			return nil, fmt.Errorf("experiments: session count %d must be positive", count)
 		}
 		for tr := 0; tr < cfg.Trials; tr++ {
-			rng := rand.New(rand.NewSource(seedmix.Derive(cfg.Seed, streamMultiPlacement, int64(ci)*1e6+int64(tr))))
-			sessions, err := placeEndpoints(nw, adj, rng, count, cfg)
+			rng := rand.New(rand.NewSource(seedmix.Derive(cfg.Base.Seed, streamMultiPlacement, int64(ci)*1e6+int64(tr))))
+			sessions, err := placeEndpoints(nw, adj, rng, count, cfg.Base)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %d sessions, trial %d: %w", count, tr, err)
 			}
@@ -239,7 +171,7 @@ func placeMultiCells(nw *topology.Network, cfg MultiConfig) ([]multiCell, error)
 }
 
 // placeEndpoints samples count distinct feasible (src, dst) pairs.
-func placeEndpoints(nw *topology.Network, adj [][]int, rng *rand.Rand, count int, cfg MultiConfig) ([]protocol.Endpoints, error) {
+func placeEndpoints(nw *topology.Network, adj [][]int, rng *rand.Rand, count int, cfg Config) ([]protocol.Endpoints, error) {
 	var sessions []protocol.Endpoints
 	seen := make(map[protocol.Endpoints]bool, count)
 	attempts := 0
@@ -270,23 +202,14 @@ func placeEndpoints(nw *topology.Network, adj [][]int, rng *rand.Rand, count int
 }
 
 // runMultiCell emulates one cell under every requested protocol.
-func runMultiCell(nw *topology.Network, cell multiCell, cfg MultiConfig, idx int) (*multiCellResult, error) {
-	pcfg := protocol.Config{
-		Coding:        cfg.Coding,
-		AirPacketSize: cfg.AirPacketSize,
-		Capacity:      cfg.Capacity,
-		Duration:      cfg.Duration,
-		CBRRate:       cfg.CBRRate,
-		Seed:          seedmix.Derive(cfg.Seed, streamMultiTrial, int64(idx)),
-		MAC:           cfg.MAC,
-		EngineWorkers: cfg.EngineWorkers,
-	}
+func runMultiCell(nw *topology.Network, cell multiCell, base Config, idx int) (*multiCellResult, error) {
+	pcfg := base.SessionConfig(seedmix.Derive(base.Seed, streamMultiTrial, int64(idx)))
 	res := &multiCellResult{
-		aggregate: make(map[string]float64, len(cfg.Protocols)),
-		jain:      make(map[string]float64, len(cfg.Protocols)),
+		aggregate: make(map[string]float64, len(base.Protocols)),
+		jain:      make(map[string]float64, len(base.Protocols)),
 	}
-	for _, name := range cfg.Protocols {
-		proto, err := multiProtocol(name, cfg.RateOptions)
+	for _, name := range base.Protocols {
+		proto, err := Protocol(name, base.RateOptions)
 		if err != nil {
 			return nil, err
 		}
@@ -298,22 +221,4 @@ func runMultiCell(nw *topology.Network, cell multiCell, cfg MultiConfig, idx int
 		res.jain[name] = ms.JainFairness
 	}
 	return res, nil
-}
-
-// multiProtocol maps a protocol name to its multi-session-capable Protocol
-// value.
-func multiProtocol(name string, opts core.Options) (protocol.Protocol, error) {
-	switch name {
-	case ProtoOMNC:
-		return protocol.NewProtocol("omnc", protocol.OMNC(opts)).
-			WithMulti(protocol.OMNCMulti(opts)), nil
-	case ProtoMORE:
-		return protocol.NewProtocol("more", routing.MORE()), nil
-	case ProtoOldMORE:
-		return protocol.NewProtocol("oldmore", routing.OldMORE()), nil
-	case ProtoETX:
-		return routing.ETXProtocol(), nil
-	default:
-		return protocol.Protocol{}, fmt.Errorf("unknown protocol %q", name)
-	}
 }

@@ -12,18 +12,20 @@ import (
 // tinyMultiConfig keeps multi-unicast scaling tests fast on one CPU.
 func tinyMultiConfig(seed int64) MultiConfig {
 	return MultiConfig{
-		Nodes:         120,
-		Density:       6,
+		Base: Config{
+			Nodes:         120,
+			Density:       6,
+			MinHops:       4,
+			MaxHops:       10,
+			Duration:      80,
+			Capacity:      2e4,
+			CBRRate:       1e4,
+			Coding:        coding.Params{GenerationSize: 16, BlockSize: 4, Strategy: gf256.StrategyAccel},
+			AirPacketSize: 16 + 1024,
+			Seed:          seed,
+		},
 		SessionCounts: []int{1, 2},
 		Trials:        2,
-		MinHops:       4,
-		MaxHops:       10,
-		Duration:      80,
-		Capacity:      2e4,
-		CBRRate:       1e4,
-		Coding:        coding.Params{GenerationSize: 16, BlockSize: 4, Strategy: gf256.StrategyAccel},
-		AirPacketSize: 16 + 1024,
-		Seed:          seed,
 	}
 }
 
@@ -57,12 +59,12 @@ func TestRunMultiScalingProducesAllSeries(t *testing.T) {
 
 func TestRunMultiScalingParallelMatchesSerial(t *testing.T) {
 	cfg := tinyMultiConfig(8)
-	cfg.Workers = 1
+	cfg.Base.Workers = 1
 	serial, err := RunMultiScaling(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
+	cfg.Base.Workers = 4
 	par, err := RunMultiScaling(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +92,9 @@ func TestRunMultiScalingDeterministic(t *testing.T) {
 
 func TestRunMultiScalingProgress(t *testing.T) {
 	cfg := tinyMultiConfig(10)
-	cfg.Protocols = []string{ProtoETX}
+	cfg.Base.Protocols = []string{ProtoETX}
 	p := metrics.NewProgress(len(cfg.SessionCounts) * cfg.Trials)
-	cfg.Progress = p
+	cfg.Base.Progress = p
 	if _, err := RunMultiScaling(cfg); err != nil {
 		t.Fatal(err)
 	}

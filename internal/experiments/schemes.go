@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"omnc/internal/coding"
-	"omnc/internal/core"
-	"omnc/internal/metrics"
 	"omnc/internal/parallel"
 	"omnc/internal/protocol"
 	"omnc/internal/seedmix"
-	"omnc/internal/sim"
 	"omnc/internal/topology"
 )
 
@@ -22,6 +18,12 @@ import (
 // (end-to-end RLNC), or forward pre-computed Reed-Solomon shards — because on
 // a chain every delivered byte crossed every hop.
 type SchemesConfig struct {
+	// Base supplies every cell's session parameters (duration, capacity,
+	// CBR rate, MAC, rate options), the seed and the worker pool; the
+	// deployment and placement fields are unused because the sweep runs on
+	// explicit chains. Zero Coding selects the sweep's own 16-block
+	// generations at rank fidelity; Progress counts completed cells.
+	Base Config
 	// Hops are the chain lengths to sweep (number of links; hops+1 nodes).
 	// Default {1, 2, 3, 4}.
 	Hops []int
@@ -35,31 +37,6 @@ type SchemesConfig struct {
 	Redundancies []float64
 	// Trials averages each cell over independent seeds. Default 2.
 	Trials int
-	// Duration, Capacity and CBRRate parameterize each emulated session.
-	Duration float64
-	Capacity float64
-	CBRRate  float64
-	// Coding parameters and on-air frame size, as in Config.
-	Coding        coding.Params
-	AirPacketSize int
-	// MAC selects the channel model.
-	MAC sim.Mode
-	// RateOptions tunes OMNC's rate controller.
-	RateOptions core.Options
-	// Seed makes the whole experiment reproducible.
-	Seed int64
-	// Workers bounds concurrent cell emulation; results are bit-identical
-	// for every worker count (trial seeds derive from the cell index, and
-	// results land in index-addressed slots).
-	Workers int
-	// EngineWorkers selects each cell's event engine (protocol.Config
-	// EngineWorkers); results are bit-identical for every value.
-	EngineWorkers int
-	// Progress, when non-nil, is incremented once per completed cell.
-	Progress *metrics.Progress
-	// Ctx, when non-nil, cancels the sweep between cells (Config.Ctx
-	// semantics). Nil means context.Background().
-	Ctx context.Context
 }
 
 func (c SchemesConfig) withDefaults() SchemesConfig {
@@ -78,21 +55,10 @@ func (c SchemesConfig) withDefaults() SchemesConfig {
 	if c.Trials == 0 {
 		c.Trials = 2
 	}
-	if c.Duration == 0 {
-		c.Duration = 200
+	if c.Base.Coding.GenerationSize == 0 {
+		c.Base.Coding = coding.Params{GenerationSize: 16, BlockSize: 8}
 	}
-	if c.Capacity == 0 {
-		c.Capacity = 2e4
-	}
-	if c.CBRRate == 0 {
-		c.CBRRate = 1e4
-	}
-	if c.Coding.GenerationSize == 0 {
-		c.Coding = coding.Params{GenerationSize: 16, BlockSize: 8}
-	}
-	if c.AirPacketSize == 0 {
-		c.AirPacketSize = c.Coding.CoeffBytes() + 1024
-	}
+	c.Base = c.Base.withDefaults()
 	return c
 }
 
@@ -165,6 +131,7 @@ func ChainNetwork(hops int, quality float64) (*topology.Network, error) {
 // runners it is deterministic for every Workers and EngineWorkers setting.
 func RunSchemesSweep(cfg SchemesConfig) (*SchemesResult, error) {
 	cfg = cfg.withDefaults()
+	base := cfg.Base
 	for _, s := range cfg.Schemes {
 		if !s.Valid() {
 			return nil, fmt.Errorf("%w: %d", coding.ErrInvalidScheme, int(s))
@@ -203,30 +170,21 @@ func RunSchemesSweep(cfg SchemesConfig) (*SchemesResult, error) {
 		decoded    float64
 	}
 	results := make([]cellResult, len(cells))
-	err := parallel.ForEachCtx(ctxOrBackground(cfg.Ctx), len(cells), parallel.Workers(cfg.Workers), func(i int) error {
+	err := parallel.ForEachCtx(ctxOrBackground(base.Ctx), len(cells), parallel.Workers(base.Workers), func(i int) error {
 		cell := cells[i]
 		hops := cfg.Hops[cell.hopIdx]
 		nw := nets[cell.hopIdx]
-		pcfg := protocol.Config{
-			Coding:        cfg.Coding,
-			Scheme:        cfg.Schemes[cell.schemeIdx],
-			Redundancy:    cfg.Redundancies[cell.redIdx],
-			AirPacketSize: cfg.AirPacketSize,
-			Capacity:      cfg.Capacity,
-			Duration:      cfg.Duration,
-			CBRRate:       cfg.CBRRate,
-			Seed:          seedmix.Derive(cfg.Seed, streamSchemesTrial, int64(i)),
-			MAC:           cfg.MAC,
-			EngineWorkers: cfg.EngineWorkers,
-		}
-		st, err := protocol.Run(nw, 0, hops, protocol.OMNC(cfg.RateOptions), pcfg)
+		pcfg := base.SessionConfig(seedmix.Derive(base.Seed, streamSchemesTrial, int64(i)))
+		pcfg.Scheme = cfg.Schemes[cell.schemeIdx]
+		pcfg.Redundancy = cfg.Redundancies[cell.redIdx]
+		st, err := protocol.Run(nw, 0, hops, protocol.OMNC(base.RateOptions), pcfg)
 		if err != nil {
 			return fmt.Errorf("experiments: scheme %s redundancy %v hops %d: %w",
 				cfg.Schemes[cell.schemeIdx], cfg.Redundancies[cell.redIdx], hops, err)
 		}
 		results[i] = cellResult{throughput: st.Throughput, decoded: float64(st.GenerationsDecoded)}
-		if cfg.Progress != nil {
-			cfg.Progress.Add(1)
+		if base.Progress != nil {
+			base.Progress.Add(1)
 		}
 		return nil
 	})

@@ -44,11 +44,10 @@ func TestRunSchemesSweepValidation(t *testing.T) {
 // level, two trials.
 func smallSchemesConfig(seed int64) SchemesConfig {
 	return SchemesConfig{
+		Base:         Config{Duration: 60, CBRRate: 1e4, Seed: seed},
 		Hops:         []int{1, 3},
 		Redundancies: []float64{0},
 		Trials:       2,
-		Duration:     60,
-		Seed:         seed,
 	}
 }
 
@@ -81,13 +80,13 @@ func TestRunSchemesSweepRecodingGain(t *testing.T) {
 // bit-identical for any Workers setting.
 func TestRunSchemesSweepWorkersInvariant(t *testing.T) {
 	cfgSerial := smallSchemesConfig(11)
-	cfgSerial.Workers = 1
+	cfgSerial.Base.Workers = 1
 	a, err := RunSchemesSweep(cfgSerial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgParallel := smallSchemesConfig(11)
-	cfgParallel.Workers = 4
+	cfgParallel.Base.Workers = 4
 	b, err := RunSchemesSweep(cfgParallel)
 	if err != nil {
 		t.Fatal(err)

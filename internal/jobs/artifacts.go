@@ -92,7 +92,7 @@ func fig1Artifact(r *experiments.Fig1Result) (Artifact, error) {
 
 // multiArtifact renders the scaling sweep as fig_multi.csv.
 func multiArtifact(r *experiments.MultiScaling) (Artifact, error) {
-	protos := append([]string(nil), r.Config.Protocols...)
+	protos := append([]string(nil), r.Config.Base.Protocols...)
 	sort.Strings(protos)
 	rows := [][]string{{"protocol", "sessions", "aggregate_bytes_per_sec", "jain_fairness"}}
 	for _, p := range protos {
@@ -114,7 +114,7 @@ func multiArtifact(r *experiments.MultiScaling) (Artifact, error) {
 
 // faultsArtifact renders the churn sweep as fig_faults.csv.
 func faultsArtifact(r *experiments.FaultChurn) (Artifact, error) {
-	protos := append([]string(nil), r.Config.Protocols...)
+	protos := append([]string(nil), r.Config.Base.Protocols...)
 	sort.Strings(protos)
 	rows := [][]string{{"protocol", "churn_per_100s", "throughput_bytes_per_sec", "mean_recovery_s"}}
 	for _, p := range protos {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"omnc/internal/metrics"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,7 +45,9 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 
 // TestHashNormalization: Specs that name the same computation — list order
 // permuted, defaults spelled out — must share one content address, while
-// Specs naming different computations must not.
+// Specs naming different computations must not. The command lines' side of
+// this (the Spec each CLI builds from no flags hashes like the minimal one)
+// is TestEmptyCommandLineHashesLikeMinimalSpec in each cmd package.
 func TestHashNormalization(t *testing.T) {
 	equivalent := [][2]Spec{
 		{
@@ -86,6 +89,103 @@ func TestHashNormalization(t *testing.T) {
 	for i, pair := range distinct {
 		if pair[0].Hash() == pair[1].Hash() {
 			t.Errorf("pair %d: different specs hash alike: %+v vs %+v", i, pair[0], pair[1])
+		}
+	}
+
+	// For every kind and scale, the Spec that spells out every default
+	// hashes like the minimal Spec, and a Spec one step off any single
+	// default hashes apart. The paper's set-up is written out once more on
+	// purpose: it holds the defaults table to the literal numbers a client
+	// would type.
+	sim := Spec{Nodes: 300, Density: 6, Sessions: 30, MinHops: 4, MaxHops: 10,
+		Duration: 200, Capacity: 2e4, CBRRate: 1e4,
+		Trials: 1, Protocol: "omnc", MAC: "oracle", Scheme: "rlnc", Field: "8"}
+	paper := sim
+	paper.Full, paper.Sessions, paper.Duration = true, 300, 800
+	loop := Spec{Rate: 200000, GenerationSize: 8, BlockSize: 64, Duration: 2,
+		Trials: 1, Protocol: "omnc", MAC: "oracle", Scheme: "rlnc", Field: "8"}
+
+	for _, kind := range Kinds() {
+		for _, spelled := range []Spec{sim, paper} {
+			if kind == KindLoopback {
+				spelled = loop
+			}
+			spelled.Version, spelled.Kind = 1, kind
+			minimal := Spec{Version: 1, Kind: kind, Full: spelled.Full}
+			if kind == KindComparison {
+				spelled.Figures, minimal.Figures = []string{"2l"}, []string{"2l"}
+			}
+			if err := spelled.Validate(); err != nil {
+				t.Fatalf("%s: spelled-out defaults must validate: %v", kind, err)
+			}
+			if d := Defaults(kind, spelled.Full); !reflect.DeepEqual(d, withoutFigures(spelled)) {
+				t.Errorf("%s full=%v: Defaults() = %+v, want the paper's numbers %+v", kind, spelled.Full, d, withoutFigures(spelled))
+			}
+			if spelled.Hash() != minimal.Hash() {
+				t.Errorf("%s full=%v: spelled-out defaults hash %s, the minimal Spec %s", kind, spelled.Full, spelled.Hash(), minimal.Hash())
+			}
+			for name, step := range map[string]func(*Spec){
+				"nodes":           func(s *Spec) { s.Nodes++ },
+				"density":         func(s *Spec) { s.Density++ },
+				"sessions":        func(s *Spec) { s.Sessions++ },
+				"min_hops":        func(s *Spec) { s.MinHops++ },
+				"max_hops":        func(s *Spec) { s.MaxHops++ },
+				"duration":        func(s *Spec) { s.Duration++ },
+				"capacity":        func(s *Spec) { s.Capacity++ },
+				"cbr_rate":        func(s *Spec) { s.CBRRate++ },
+				"trials":          func(s *Spec) { s.Trials++ },
+				"protocol":        func(s *Spec) { s.Protocol = "etx" },
+				"mac":             func(s *Spec) { s.MAC = "csma" },
+				"scheme":          func(s *Spec) { s.Scheme = "rlnc-e2e" },
+				"field":           func(s *Spec) { s.Field = "16" },
+				"rate":            func(s *Spec) { s.Rate++ },
+				"generation_size": func(s *Spec) { s.GenerationSize++ },
+				"block_size":      func(s *Spec) { s.BlockSize++ },
+			} {
+				off := spelled
+				step(&off)
+				if off.Hash() == minimal.Hash() {
+					t.Errorf("%s full=%v: %s one step off its default still hashes like the minimal Spec", kind, spelled.Full, name)
+				}
+			}
+		}
+	}
+}
+
+func withoutFigures(s Spec) Spec {
+	s.Figures = nil
+	return s
+}
+
+// TestPinnedContentAddresses holds Spec.Hash to the strings the build before
+// the defaults table produced: one minimal Spec per kind, the daemon
+// benchmark's seeded fig1 jobs, and a few Specs that set non-default fields.
+// A run directory written by any earlier build must keep its address.
+func TestPinnedContentAddresses(t *testing.T) {
+	for _, c := range []struct{ json, hash string }{
+		{`{"version":1,"kind":"comparison","figures":["2l"]}`, "f4ea7aa88d8ed685"},
+		{`{"version":1,"kind":"drift"}`, "a26dfbc90a2bb331"},
+		{`{"version":1,"kind":"faults"}`, "6f40f6e67deb9d1d"},
+		{`{"version":1,"kind":"fig1"}`, "cba2b371cdc7cece"},
+		{`{"version":1,"kind":"loopback"}`, "1ac8ddf8db97986a"},
+		{`{"version":1,"kind":"multi"}`, "20030352204a0ca1"},
+		{`{"version":1,"kind":"schemes"}`, "da52d507d4edba0c"},
+		{`{"version":1,"kind":"session"}`, "413e9678a706e06a"},
+		{`{"version":1,"kind":"topo"}`, "350a7c56c17b3932"},
+		{`{"version":1,"kind":"fig1","seed":1}`, "c509d9f8f0b1336e"},
+		{`{"version":1,"kind":"fig1","seed":4611686018427387904}`, "4552858638e87e05"},
+		{`{"version":1,"kind":"session","seed":3,"report":true}`, "1d999a31bd5d8cc0"},
+		{`{"version":1,"kind":"comparison","seed":7,"sessions":2,"duration":60,"figures":["2l"],"workers":2}`, "1d449f92dd8c596e"},
+		{`{"version":1,"kind":"comparison","full":true,"figures":["3","2l"],"protocols":["omnc","etx"],"mac":"csma"}`, "ad0c3ee050e3dd88"},
+		{`{"version":1,"kind":"session","nodes":120,"min_hops":2,"max_hops":6,"duration":10,"seed":3,"protocol":"etx","cbr_rate":-1}`, "80be172e0205cf2e"},
+		{`{"version":1,"kind":"loopback","trials":2,"generation_size":16,"scheme":"rs","redundancy":2}`, "9ce414bdf5d28091"},
+	} {
+		s, err := Decode([]byte(c.json))
+		if err != nil {
+			t.Fatalf("%s: %v", c.json, err)
+		}
+		if got := s.Hash(); got != c.hash {
+			t.Errorf("%s: content address moved: %s, pinned %s", c.json, got, c.hash)
 		}
 	}
 }
@@ -131,6 +231,11 @@ func TestValidateRejectsNonsense(t *testing.T) {
 		{Version: 1, Kind: KindSession, MeanQuality: 1.5},                       // quality outside [0,1]
 		{Version: 1, Kind: KindFig1, Trials: -1},                                // negative count
 		{Version: 1, Kind: KindMulti, Faults: nil, Sessions: -1},                // negative count
+		{Version: 1, Kind: KindMulti, Report: true},                             // multi keeps no reports
+		{Version: 1, Kind: KindFig1, Report: true},                              // nor does fig1
+		{Version: 1, Kind: KindSchemes, Field: "16"},                            // RS cells are GF(2^8)-only
+		{Version: 1, Kind: KindSchemes, Scheme: "rs"},                           // the sweep is over schemes
+		{Version: 1, Kind: KindSchemes, Redundancy: 2},                          // ... and over redundancies
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -150,8 +255,9 @@ func TestUnitsMatchCLIProgressTotals(t *testing.T) {
 		{Spec{Version: 1, Kind: KindFaults, Sessions: 2}, 6}, // 2 sessions x churn {0,2,5}
 		{Spec{Version: 1, Kind: KindSchemes}, 72},            // 4 hops x 3 schemes x 3 redundancies x 2 trials
 		{Spec{Version: 1, Kind: KindSession, Trials: 5}, 5},
-		{Spec{Version: 1, Kind: KindFig1}, 0}, // fig1 reports no incremental progress
-		{Spec{Version: 1, Kind: KindDrift}, 0},
+		{Spec{Version: 1, Kind: KindFig1}, 0},                // fig1 reports no incremental progress
+		{Spec{Version: 1, Kind: KindDrift}, 40},              // 5 jitter levels x 8 sessions
+		{Spec{Version: 1, Kind: KindDrift, Sessions: 2}, 10}, // 5 jitter levels x 2 sessions
 	}
 	for _, c := range cases {
 		if got := c.spec.Units(); got != c.want {
@@ -160,6 +266,47 @@ func TestUnitsMatchCLIProgressTotals(t *testing.T) {
 	}
 	if got := (Spec{Version: 1, Kind: KindMulti}).Units(); got != 8 {
 		t.Errorf("multi default Units() = %d, want 8", got)
+	}
+}
+
+// TestSweepKindsHonourOrRejectScheme: a coding field moves a sweep Spec's
+// content address, so it must also move what the sweep computes — or fail
+// validation. It may never land the default bytes under a second address.
+func TestSweepKindsHonourOrRejectScheme(t *testing.T) {
+	for _, kind := range []string{KindDrift, KindMulti, KindFaults, KindSchemes} {
+		base := Spec{Version: 1, Kind: kind, Sessions: 2, Duration: 60, Seed: 7, Workers: 2}
+		coded := base
+		coded.Scheme, coded.Redundancy = "rs", 1.5
+		if base.Hash() == coded.Hash() {
+			t.Fatalf("%s: scheme does not reach the content address", kind)
+		}
+		if err := coded.Validate(); err != nil {
+			continue // rejected with a reason: nothing can land under the second address
+		}
+		want, err := Run(context.Background(), base)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		got, err := Run(context.Background(), coded)
+		if err != nil {
+			t.Fatalf("%s under rs: %v", kind, err)
+		}
+		if bytes.Equal(want.Artifacts[0].Data, got.Artifacts[0].Data) {
+			t.Errorf("%s: scheme rs x1.5 landed the default bytes under a new address:\n%s", kind, got.Artifacts[0].Data)
+		}
+	}
+}
+
+// TestDriftReportsProgress: the drift kind ticks its progress sink once per
+// (jitter level, session) cell, Units() of them in all.
+func TestDriftReportsProgress(t *testing.T) {
+	s := Spec{Version: 1, Kind: KindDrift, Sessions: 1, Duration: 60, Seed: 7, Nodes: 120}
+	p := metrics.NewProgress(s.Units())
+	if _, err := RunWithProgress(context.Background(), s, p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Total() != 5 || p.Done() != p.Total() {
+		t.Fatalf("drift progress = %d/%d, want 5/5", p.Done(), p.Total())
 	}
 }
 

@@ -20,11 +20,10 @@ import (
 	"time"
 )
 
-// RNG streams for the session kind, identical to the constants omnc-sim has
-// always used: endpoint placement and per-trial loss processes draw from
-// separate streams, so any surface that runs the same Spec replays the same
-// session. These values are frozen — changing them changes every seeded
-// result.
+// RNG streams for the session and loopback kinds: endpoint placement and
+// per-trial loss processes draw from separate streams, so any surface that
+// runs the same Spec replays the same session. These values are frozen —
+// changing them changes every seeded result.
 const (
 	streamSessionPlacement int64 = 100
 	streamSessionTrial     int64 = 101
@@ -69,10 +68,16 @@ func (r *Result) Artifact(name string) *Artifact {
 }
 
 // progressHandle bundles the live-progress sink and the cancellation context
-// a runner should thread into its experiment config.
+// of one run.
 type progressHandle struct {
 	p   *metrics.Progress
 	ctx context.Context
+}
+
+// watch threads the handle into the base experiment a runner is about to
+// execute.
+func (h *progressHandle) watch(cfg *experiments.Config) {
+	cfg.Progress, cfg.Ctx = h.p, h.ctx
 }
 
 // Run validates and executes the Spec, honouring ctx at the experiment's
@@ -118,9 +123,8 @@ func RunWithProgress(ctx context.Context, s Spec, p *metrics.Progress) (*Result,
 }
 
 func runComparison(s Spec, h *progressHandle) (*Result, error) {
-	cfg := s.comparisonConfig()
-	cfg.Progress = h.p
-	cfg.Ctx = h.ctx
+	cfg := s.Config()
+	h.watch(&cfg)
 	c, err := experiments.RunComparison(cfg)
 	if err != nil {
 		return nil, err
@@ -180,21 +184,9 @@ func runFig1(s Spec) (*Result, error) {
 }
 
 func runDrift(s Spec, h *progressHandle) (*Result, error) {
-	cfg := s.comparisonConfig()
-	if cfg.Sessions > 8 {
-		cfg.Sessions = 8
-	}
-	// Shorter generations keep per-epoch throughput measurable (the CLI's
-	// driftFig applies the same override).
-	cfg.Coding.GenerationSize = 16
-	cfg.AirPacketSize = cfg.Coding.CoeffBytes() + 1024
-	cfg.Ctx = h.ctx
-	r, err := experiments.DriftSweep(experiments.DriftSweepConfig{
-		Base:           cfg,
-		Jitters:        []float64{0, 0.1, 0.2, 0.3, 0.4},
-		Epochs:         3,
-		ReinitOverhead: 5,
-	})
+	dc := s.driftConfig()
+	h.watch(&dc.Base)
+	r, err := experiments.DriftSweep(dc)
 	if err != nil {
 		return nil, err
 	}
@@ -204,38 +196,13 @@ func runDrift(s Spec, h *progressHandle) (*Result, error) {
 	}
 	return &Result{
 		Spec: s, Drift: r, Artifacts: []Artifact{a},
-		Summary: fmt.Sprintf("%d jitter levels, %d sessions each", len(r.Jitters), cfg.Sessions),
+		Summary: fmt.Sprintf("%d jitter levels, %d sessions each", len(r.Jitters), dc.Base.Sessions),
 	}, nil
 }
 
 func runMulti(s Spec, h *progressHandle) (*Result, error) {
-	cfg := s.comparisonConfig()
-	counts, trials := s.multiPlan()
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("jobs: sessions %d leaves no session counts to sweep", s.Sessions)
-	}
-	mc := experiments.MultiConfig{
-		Nodes:         cfg.Nodes,
-		Density:       cfg.Density,
-		MeanQuality:   cfg.MeanQuality,
-		SessionCounts: counts,
-		Trials:        trials,
-		MinHops:       cfg.MinHops,
-		MaxHops:       cfg.MaxHops,
-		Duration:      cfg.Duration,
-		Capacity:      cfg.Capacity,
-		CBRRate:       cfg.CBRRate,
-		Coding:        cfg.Coding,
-		AirPacketSize: cfg.AirPacketSize,
-		Protocols:     cfg.Protocols,
-		MAC:           cfg.MAC,
-		RateOptions:   cfg.RateOptions,
-		Seed:          cfg.Seed,
-		Workers:       cfg.Workers,
-		EngineWorkers: cfg.EngineWorkers,
-		Progress:      h.p,
-		Ctx:           h.ctx,
-	}
+	mc := s.MultiConfig()
+	h.watch(&mc.Base)
 	r, err := experiments.RunMultiScaling(mc)
 	if err != nil {
 		return nil, err
@@ -246,35 +213,13 @@ func runMulti(s Spec, h *progressHandle) (*Result, error) {
 	}
 	return &Result{
 		Spec: s, Multi: r, Artifacts: []Artifact{a},
-		Summary: fmt.Sprintf("session counts %v, %d trials each", counts, trials),
+		Summary: fmt.Sprintf("session counts %v, %d trials each", mc.SessionCounts, mc.Trials),
 	}, nil
 }
 
 func runFaults(s Spec, h *progressHandle) (*Result, error) {
-	cfg := s.comparisonConfig()
-	sessions, churn := s.faultsPlan()
-	fc := experiments.FaultsConfig{
-		Nodes:         cfg.Nodes,
-		Density:       cfg.Density,
-		MeanQuality:   cfg.MeanQuality,
-		Sessions:      sessions,
-		MinHops:       cfg.MinHops,
-		MaxHops:       cfg.MaxHops,
-		Duration:      cfg.Duration,
-		Capacity:      cfg.Capacity,
-		CBRRate:       cfg.CBRRate,
-		Coding:        cfg.Coding,
-		AirPacketSize: cfg.AirPacketSize,
-		ChurnRates:    churn,
-		Protocols:     cfg.Protocols,
-		MAC:           cfg.MAC,
-		RateOptions:   cfg.RateOptions,
-		Seed:          cfg.Seed,
-		Workers:       cfg.Workers,
-		EngineWorkers: cfg.EngineWorkers,
-		Progress:      h.p,
-		Ctx:           h.ctx,
-	}
+	fc := s.FaultsConfig()
+	h.watch(&fc.Base)
 	r, err := experiments.RunFaultChurn(fc)
 	if err != nil {
 		return nil, err
@@ -285,12 +230,13 @@ func runFaults(s Spec, h *progressHandle) (*Result, error) {
 	}
 	return &Result{
 		Spec: s, Faults: r, Artifacts: []Artifact{a},
-		Summary: fmt.Sprintf("%d sessions x churn %v per 100 s", sessions, churn),
+		Summary: fmt.Sprintf("%d sessions x churn %v per 100 s", fc.Base.Sessions, fc.ChurnRates),
 	}, nil
 }
 
 func runSchemes(s Spec, h *progressHandle) (*Result, error) {
-	sc := s.schemesConfig(h)
+	sc := s.schemesConfig()
+	h.watch(&sc.Base)
 	r, err := experiments.RunSchemesSweep(sc)
 	if err != nil {
 		return nil, err
@@ -305,56 +251,17 @@ func runSchemes(s Spec, h *progressHandle) (*Result, error) {
 	}, nil
 }
 
-// Session-kind defaults, identical to omnc-sim's flag defaults.
-func (s Spec) sessionDefaults() (nodes int, density float64, minHops, maxHops int, duration, capacity, cbr float64) {
-	nodes, density, minHops, maxHops = s.Nodes, s.Density, s.MinHops, s.MaxHops
-	if nodes == 0 {
-		nodes = 300
-	}
-	if density == 0 {
-		density = 6
-	}
-	if minHops == 0 {
-		minHops = 4
-	}
-	if maxHops == 0 {
-		maxHops = 10
-	}
-	duration, capacity, cbr = s.Duration, s.Capacity, s.CBRRate
-	if duration == 0 {
-		duration = 200
-	}
-	if capacity == 0 {
-		capacity = 2e4
-	}
-	if cbr == 0 {
-		cbr = 1e4
-	} else {
-		cbr = rateOrBacklogged(cbr)
-	}
-	return
-}
-
 func runSession(s Spec, h *progressHandle) (*Result, error) {
-	nodes, density, minHops, maxHops, duration, capacity, cbr := s.sessionDefaults()
-	nw, err := omnc.GenerateNetwork(nodes, density, s.Seed)
+	d, cfg := s.withDefaults(), s.Config()
+	nw, err := cfg.Deployment()
 	if err != nil {
 		return nil, err
-	}
-	if s.MeanQuality > 0 {
-		phy, err := omnc.DefaultPHY().CalibrateGain(s.MeanQuality)
-		if err != nil {
-			return nil, err
-		}
-		if nw, err = nw.WithPHY(phy); err != nil {
-			return nil, err
-		}
 	}
 	src, dst := -1, -1
 	if s.Src != nil {
 		src, dst = *s.Src, *s.Dst
 	} else {
-		if src, dst, err = pickSession(nw, s.Seed, minHops, maxHops); err != nil {
+		if src, dst, err = pickSession(nw, s.Seed, cfg.MinHops, cfg.MaxHops); err != nil {
 			return nil, err
 		}
 	}
@@ -363,53 +270,26 @@ func runSession(s Spec, h *progressHandle) (*Result, error) {
 		return nil, err
 	}
 
-	cfg := omnc.SessionConfig{
-		Scheme:              s.scheme(),
-		Redundancy:          s.Redundancy,
-		Capacity:            capacity,
-		Duration:            duration,
-		CBRRate:             cbr,
-		Seed:                s.Seed,
-		QueueSampleInterval: 0.5,
-		Faults:              s.Faults,
-		Report:              s.Report,
-		EngineWorkers:       s.EngineWorkers,
-	}
-	// Rank fidelity by default: exact innovation behaviour at a fraction of
-	// the arithmetic cost; air time still models full 1 KB payloads.
-	cfg.Coding = omnc.DefaultCodingParams()
-	cfg.Coding.BlockSize = 8
-	cfg.Coding.Field = s.field()
-	cfg.AirPacketSize = cfg.Coding.CoeffBytes() + 1024
-
+	pcfg := cfg.SessionConfig(s.Seed)
+	pcfg.Faults = s.Faults
 	var traceBuf *bytes.Buffer
 	if s.Trace {
 		traceBuf = &bytes.Buffer{}
-		cfg.Trace = trace.NewJSONLWriter(traceBuf)
+		pcfg.Trace = trace.NewJSONLWriter(traceBuf)
+	}
+	proto, err := experiments.Protocol(d.Protocol, cfg.RateOptions)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
 
-	var protoVal omnc.Protocol
-	switch p := s.Protocol; p {
-	case "", experiments.ProtoOMNC:
-		protoVal = omnc.OMNC(omnc.RateOptions{})
-	case experiments.ProtoMORE:
-		protoVal = omnc.MORE()
-	case experiments.ProtoOldMORE:
-		protoVal = omnc.OldMORE()
-	case experiments.ProtoETX:
-		protoVal = omnc.ETX()
-	default:
-		return nil, fmt.Errorf("jobs: unknown protocol %q", p)
-	}
-
-	trials := s.trials()
+	trials := d.Trials
 	stats := make([]*omnc.SessionStats, trials)
 	err = parallel.ForEachCtx(h.ctx, trials, parallel.Workers(s.Workers), func(i int) error {
-		tcfg := cfg
+		tcfg := pcfg
 		if trials > 1 {
 			tcfg.Seed = seedmix.Derive(s.Seed, streamSessionTrial, int64(i))
 		}
-		st, err := omnc.Run(nw, src, dst, protoVal, tcfg)
+		st, err := proto.Run(nw, src, dst, tcfg)
 		if err != nil {
 			return fmt.Errorf("trial %d: %w", i, err)
 		}
@@ -455,19 +335,9 @@ func runSession(s Spec, h *progressHandle) (*Result, error) {
 }
 
 func runTopo(s Spec) (*Result, error) {
-	nodes, density, _, _, _, _, _ := s.sessionDefaults()
-	nw, err := omnc.GenerateNetwork(nodes, density, s.Seed)
+	nw, err := s.Config().Deployment()
 	if err != nil {
 		return nil, err
-	}
-	if s.MeanQuality > 0 {
-		phy, err := omnc.DefaultPHY().CalibrateGain(s.MeanQuality)
-		if err != nil {
-			return nil, err
-		}
-		if nw, err = nw.WithPHY(phy); err != nil {
-			return nil, err
-		}
 	}
 	a, err := linksArtifact(nw)
 	if err != nil {
@@ -485,22 +355,7 @@ func runTopo(s Spec) (*Result, error) {
 }
 
 func runLoopback(s Spec, h *progressHandle) (*Result, error) {
-	rate := s.Rate
-	if rate == 0 {
-		rate = 200_000
-	}
-	genSize := s.GenerationSize
-	if genSize == 0 {
-		genSize = 8
-	}
-	block := s.BlockSize
-	if block == 0 {
-		block = 64
-	}
-	duration := s.Duration
-	if duration == 0 {
-		duration = 2
-	}
+	d := s.withDefaults()
 	nw, err := omnc.NetworkFromMatrix([][]float64{
 		{0, 0.8, 0.6, 0},
 		{0.8, 0, 0, 0.7},
@@ -516,11 +371,11 @@ func runLoopback(s Spec, h *progressHandle) (*Result, error) {
 	}
 	rates := make([]float64, sg.Size())
 	for i := range rates {
-		rates[i] = rate
+		rates[i] = d.Rate
 	}
 	rates[sg.Dst] = 0
 
-	trials := s.trials()
+	trials := d.Trials
 	results := make([]*drift.Result, trials)
 	err = parallel.ForEachCtx(h.ctx, trials, parallel.Workers(s.Workers), func(i int) error {
 		trialSeed := s.Seed
@@ -528,11 +383,11 @@ func runLoopback(s Spec, h *progressHandle) (*Result, error) {
 			trialSeed = seedmix.Derive(s.Seed, streamLoopbackTrial, int64(i))
 		}
 		r, err := drift.RunSession(nw, sg, drift.Config{
-			Coding:     coding.Params{GenerationSize: genSize, BlockSize: block, Field: s.field()},
-			Scheme:     s.scheme(),
-			Redundancy: s.Redundancy,
+			Coding:     coding.Params{GenerationSize: d.GenerationSize, BlockSize: d.BlockSize, Field: d.field()},
+			Scheme:     d.scheme(),
+			Redundancy: d.Redundancy,
 			Rates:      rates,
-			Duration:   time.Duration(duration * float64(time.Second)),
+			Duration:   time.Duration(d.Duration * float64(time.Second)),
 			Seed:       trialSeed,
 		})
 		if err != nil {
@@ -559,9 +414,9 @@ func runLoopback(s Spec, h *progressHandle) (*Result, error) {
 	}, nil
 }
 
-// pickSession samples endpoints with the paper's hop constraint — the exact
-// procedure (and RNG stream) omnc-sim has always used, now shared by every
-// surface that runs a session job.
+// pickSession samples endpoints with the paper's hop constraint from the
+// session kind's frozen placement stream, so every surface that runs a
+// session job places it alike.
 func pickSession(nw *omnc.Network, seed int64, minHops, maxHops int) (int, int, error) {
 	adj := make([][]int, nw.Size())
 	for i := range adj {

@@ -6,6 +6,11 @@
 // figure submitted over HTTP lands byte-identical artifacts to the same
 // figure run from a shell.
 //
+// A Spec is mapped onto the experiments layer once (Spec.Config; the sweep
+// kinds wrap it in their axes), and its defaults are written once (Defaults):
+// the runners fill from that table, Hash folds onto it, and the CLIs bind
+// their flags to the fields of a Spec seeded from it.
+//
 // The package also houses the daemon's persistence: a crash-safe JSONL
 // queue (queue.go) and a content-addressed results store (store.go).
 package jobs
@@ -20,6 +25,7 @@ import (
 	"sort"
 
 	"omnc/internal/coding"
+	"omnc/internal/core"
 	"omnc/internal/experiments"
 	"omnc/internal/faults"
 	"omnc/internal/sim"
@@ -71,7 +77,8 @@ var comparisonFigures = map[string]bool{"2l": true, "2r": true, "3": true, "4": 
 // Spec names one experiment completely: what to run, on what topology, with
 // which protocol and coding strategy, under what fault plan, and how to
 // parallelize it. The zero value of every optional field means "the
-// documented default" — the same defaults the CLIs apply — so a minimal
+// default Defaults lists for the kind" — the table the runners fill from,
+// Hash folds onto and the CLIs show in -h — so a minimal
 // {"version":1,"kind":"fig1"} is a valid job. Specs round-trip through JSON
 // bit-exactly and unknown fields are rejected (DisallowUnknownFields), so a
 // typo'd field name fails the submit instead of silently running the wrong
@@ -87,17 +94,17 @@ type Spec struct {
 
 	// Nodes, Density and MeanQuality describe the random deployment
 	// (kinds comparison/drift/multi/faults/session/topo). Zero keeps the
-	// runner defaults (300 nodes, density 6, lossy PHY ~0.58).
+	// paper's deployment and the lossy PHY (~0.58).
 	Nodes       int     `json:"nodes,omitempty"`
 	Density     float64 `json:"density,omitempty"`
 	MeanQuality float64 `json:"mean_quality,omitempty"`
 
-	// Full selects the paper scale for comparison/drift/faults/schemes
-	// (300 sessions x 800 s, 1 KB blocks) and the deeper trial count for
-	// multi; the default is the laptop scale.
+	// Full selects the paper scale for every simulated kind (300 sessions x
+	// 800 s, 1 KB blocks; the schemes kind keeps its own generation shape)
+	// and the deeper trial count for multi; the default is the laptop scale.
 	Full bool `json:"full,omitempty"`
 	// Sessions overrides the session count (comparison) or caps the sweep
-	// width (drift/multi/faults) exactly like omnc-fig's -sessions.
+	// width (drift/multi/faults).
 	Sessions int `json:"sessions,omitempty"`
 	// MinHops and MaxHops constrain endpoint placement.
 	MinHops int `json:"min_hops,omitempty"`
@@ -137,7 +144,7 @@ type Spec struct {
 	Field      string  `json:"field,omitempty"`
 
 	// Src and Dst pin the session endpoints (KindSession); nil picks
-	// random endpoints under the hop constraint, exactly like omnc-sim.
+	// random endpoints under the hop constraint.
 	Src *int `json:"src,omitempty"`
 	Dst *int `json:"dst,omitempty"`
 
@@ -145,7 +152,8 @@ type Spec struct {
 	// only — the sweep kinds draw their own plans).
 	Faults *faults.Plan `json:"faults,omitempty"`
 
-	// Report collects the per-session observability report; on a
+	// Report collects the per-session observability reports (kinds
+	// comparison and session; the others produce none and reject it). On a
 	// single-trial session job the report lands as a report.json artifact.
 	Report bool `json:"report,omitempty"`
 	// Trace records the session's protocol events as a trace.jsonl
@@ -158,8 +166,8 @@ type Spec struct {
 	Workers       int `json:"workers,omitempty"`
 	EngineWorkers int `json:"engine_workers,omitempty"`
 
-	// Rate, GenerationSize and BlockSize parameterize KindLoopback
-	// (defaults 200000 B/s, 8 blocks, 64 bytes — omnc-drift's defaults).
+	// Rate, GenerationSize and BlockSize parameterize KindLoopback (see
+	// Defaults).
 	Rate           float64 `json:"rate,omitempty"`
 	GenerationSize int     `json:"generation_size,omitempty"`
 	BlockSize      int     `json:"block_size,omitempty"`
@@ -210,12 +218,80 @@ func (s Spec) Hash() string {
 	return hex.EncodeToString(sum[:8])
 }
 
+// Defaults returns the values the zero fields of a Spec of the given kind and
+// scale stand for. It is the only table of default numbers above the
+// experiments layer: withDefaults fills a Spec from it before anything is
+// validated or run, normalized folds a Spec back onto it before hashing, and
+// the CLIs seed their flags (and so their -h text) from it. The simulated
+// kinds read the base experiment — experiments.QuickConfig, or PaperConfig
+// at full scale — and loopback's four numbers are its own.
+func Defaults(kind string, full bool) Spec {
+	d := Spec{
+		Version: SpecVersion, Kind: kind, Full: full,
+		Trials: 1, Protocol: experiments.ProtoOMNC, MAC: "oracle", Scheme: "rlnc", Field: "8",
+	}
+	if kind == KindLoopback {
+		d.Rate, d.GenerationSize, d.BlockSize, d.Duration = 200_000, 8, 64, 2
+		return d
+	}
+	base := experiments.QuickConfig(0)
+	if full {
+		base = experiments.PaperConfig(0)
+	}
+	d.Nodes, d.Density, d.Sessions = base.Nodes, base.Density, base.Sessions
+	d.MinHops, d.MaxHops = base.MinHops, base.MaxHops
+	d.Duration, d.Capacity, d.CBRRate = base.Duration, base.Capacity, base.CBRRate
+	return d
+}
+
+// applyDefaults walks every field that has a default: filling replaces a
+// zero field by the kind's default, folding replaces a spelled-out default
+// by zero. One field list serves both directions, so the runners and the
+// content address cannot disagree about what a default is.
+func (s *Spec) applyDefaults(fold bool) {
+	d := Defaults(s.Kind, s.Full)
+	defaultField(&s.Nodes, d.Nodes, fold)
+	defaultField(&s.Density, d.Density, fold)
+	defaultField(&s.Sessions, d.Sessions, fold)
+	defaultField(&s.MinHops, d.MinHops, fold)
+	defaultField(&s.MaxHops, d.MaxHops, fold)
+	defaultField(&s.Duration, d.Duration, fold)
+	defaultField(&s.Capacity, d.Capacity, fold)
+	defaultField(&s.CBRRate, d.CBRRate, fold)
+	defaultField(&s.Trials, d.Trials, fold)
+	defaultField(&s.Protocol, d.Protocol, fold)
+	defaultField(&s.MAC, d.MAC, fold)
+	defaultField(&s.Scheme, d.Scheme, fold)
+	defaultField(&s.Field, d.Field, fold)
+	defaultField(&s.Rate, d.Rate, fold)
+	defaultField(&s.GenerationSize, d.GenerationSize, fold)
+	defaultField(&s.BlockSize, d.BlockSize, fold)
+}
+
+func defaultField[T comparable](field *T, def T, fold bool) {
+	var zero T
+	switch {
+	case fold && *field == def:
+		*field = zero
+	case !fold && *field == zero:
+		*field = def
+	}
+}
+
+// withDefaults returns the Spec with every defaulted field spelled out —
+// the form Validate checks and the runners read.
+func (s Spec) withDefaults() Spec {
+	s.applyDefaults(false)
+	return s
+}
+
 // normalized returns the copy of the Spec that feeds the content address:
 // order-insensitive lists sorted and spelled-out defaults folded to their
 // zero forms. Only rewrites proven computation-invariant belong here —
 // every comparison protocol runs from the same per-session seed and the
 // artifacts serialize protocols in sorted order, so list order cannot
-// change a landed byte.
+// change a landed byte, and a folded default is refilled to the same value
+// before anything runs.
 func (s Spec) normalized() Spec {
 	n := s
 	if len(s.Figures) > 0 {
@@ -231,49 +307,20 @@ func (s Spec) normalized() Spec {
 		}
 		n.Protocols = ps
 	}
-	if n.Scheme == "rlnc" {
-		n.Scheme = "" // schemeName: "" already means rlnc
-	}
-	if n.Field == "8" {
-		n.Field = "" // field: "" already means GF(2^8)
-	}
-	if n.Protocol == experiments.ProtoOMNC {
-		n.Protocol = "" // runSession: "" already means omnc
-	}
-	if n.MAC == "oracle" {
-		n.MAC = "" // mac: "" already means oracle
-	}
-	if n.Trials == 1 {
-		n.Trials = 0 // trials: both mean a single run
-	}
+	n.applyDefaults(true)
 	return n
 }
 
-// Validate checks the Spec against the same rules the CLIs enforce flag by
-// flag, so a rejected job fails at submit time with the reason — before any
-// topology is generated.
+// Validate checks the Spec before any topology is generated, so a rejected
+// job fails at submit time with the reason. A field the kind cannot honour is
+// rejected rather than dropped: it would otherwise move the content address
+// without moving a landed byte.
 func (s Spec) Validate() error {
 	if s.Version != SpecVersion {
 		return fmt.Errorf("jobs: spec version %d, want %d", s.Version, SpecVersion)
 	}
 	if !slices.Contains(Kinds(), s.Kind) {
 		return fmt.Errorf("jobs: unknown kind %q (want one of %v)", s.Kind, Kinds())
-	}
-	if _, err := coding.ParseScheme(s.schemeName()); err != nil {
-		return err
-	}
-	if err := coding.ValidateRedundancy(s.Redundancy); err != nil {
-		return err
-	}
-	f, err := coding.ParseField(s.Field)
-	if err != nil {
-		return err
-	}
-	if s.scheme() == coding.SchemeRS && f != coding.Field8 {
-		return fmt.Errorf("%w: scheme rs codes over GF(2^8) only", coding.ErrInvalidField)
-	}
-	if _, err := s.mac(); err != nil {
-		return err
 	}
 	if s.Trials < 0 {
 		return fmt.Errorf("jobs: trials %d must not be negative", s.Trials)
@@ -286,6 +333,27 @@ func (s Spec) Validate() error {
 	}
 	if s.MeanQuality < 0 || s.MeanQuality > 1 {
 		return fmt.Errorf("jobs: mean_quality %v outside [0, 1]", s.MeanQuality)
+	}
+	d := s.withDefaults()
+	scheme, err := coding.ParseScheme(d.Scheme)
+	if err != nil {
+		return err
+	}
+	if err := coding.ValidateRedundancy(s.Redundancy); err != nil {
+		return err
+	}
+	field, err := coding.ParseField(d.Field)
+	if err != nil {
+		return err
+	}
+	if scheme == coding.SchemeRS && field != coding.Field8 {
+		return fmt.Errorf("%w: scheme rs codes over GF(2^8) only", coding.ErrInvalidField)
+	}
+	if _, err := d.mac(); err != nil {
+		return err
+	}
+	if s.Report && s.Kind != KindComparison && s.Kind != KindSession {
+		return fmt.Errorf("jobs: kind %q keeps no session reports; report applies to comparison and session jobs", s.Kind)
 	}
 	switch s.Kind {
 	case KindComparison:
@@ -305,13 +373,17 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("jobs: figure 2r runs on the high-quality network and cannot share a job with lossy-network figures")
 		}
 		for _, p := range s.Protocols {
-			if !knownProtocol(p) {
-				return fmt.Errorf("jobs: unknown protocol %q", p)
+			if _, err := experiments.Protocol(p, core.Options{}); err != nil {
+				return fmt.Errorf("jobs: %w", err)
 			}
 		}
+	case KindSchemes:
+		if scheme != coding.SchemeRLNC || s.Redundancy != 0 || field != coding.Field8 {
+			return fmt.Errorf("jobs: the schemes kind sweeps every scheme and redundancy itself, over GF(2^8) (its Reed-Solomon cells code over no other field); scheme, redundancy and field do not apply")
+		}
 	case KindSession:
-		if p := s.Protocol; p != "" && !knownProtocol(p) {
-			return fmt.Errorf("jobs: unknown protocol %q", p)
+		if _, err := experiments.Protocol(d.Protocol, core.Options{}); err != nil {
+			return fmt.Errorf("jobs: %w", err)
 		}
 		if (s.Src == nil) != (s.Dst == nil) {
 			return fmt.Errorf("jobs: src and dst must be set together")
@@ -319,11 +391,11 @@ func (s Spec) Validate() error {
 		if s.Src != nil && (*s.Src < 0 || *s.Dst < 0) {
 			return fmt.Errorf("jobs: negative endpoint")
 		}
-		if s.Report && s.trials() > 1 {
-			return fmt.Errorf("jobs: a report captures a single session; it cannot be combined with %d trials", s.trials())
+		if s.Report && d.Trials > 1 {
+			return fmt.Errorf("jobs: a report captures a single session; it cannot be combined with %d trials", d.Trials)
 		}
-		if s.Trace && s.trials() > 1 {
-			return fmt.Errorf("jobs: a trace captures a single session; it cannot be combined with %d trials", s.trials())
+		if s.Trace && d.Trials > 1 {
+			return fmt.Errorf("jobs: a trace captures a single session; it cannot be combined with %d trials", d.Trials)
 		}
 	case KindLoopback:
 		if s.GenerationSize < 0 || s.BlockSize < 0 || s.Rate < 0 {
@@ -343,53 +415,40 @@ func (s Spec) Validate() error {
 
 // Units returns how many progress units the job will report — the total a
 // metrics.Progress watching the run should be created with. Zero means the
-// kind reports no incremental progress. The counts mirror exactly what the
-// CLIs pass to metrics.NewProgress for the same flags.
+// kind reports no incremental progress.
 func (s Spec) Units() int {
 	switch s.Kind {
 	case KindComparison:
-		return s.comparisonConfig().Sessions
+		return s.Config().Sessions
+	case KindDrift:
+		dc := s.driftConfig()
+		return len(dc.Jitters) * dc.Base.Sessions
 	case KindMulti:
-		counts, trials := s.multiPlan()
-		return len(counts) * trials
+		mc := s.MultiConfig()
+		return len(mc.SessionCounts) * mc.Trials
 	case KindFaults:
-		sessions, churn := s.faultsPlan()
-		return sessions * len(churn)
+		fc := s.FaultsConfig()
+		return fc.Base.Sessions * len(fc.ChurnRates)
 	case KindSchemes:
-		return s.schemesConfig(nil).CellCount()
+		return s.schemesConfig().CellCount()
 	case KindSession, KindLoopback:
-		return s.trials()
+		return s.withDefaults().Trials
 	default:
 		return 0
 	}
 }
 
-// trials normalizes the replay count (0 means one run).
-func (s Spec) trials() int {
-	if s.Trials <= 0 {
-		return 1
-	}
-	return s.Trials
-}
-
-// schemeName normalizes the coding-scheme name ("" means the default).
-func (s Spec) schemeName() string {
-	if s.Scheme == "" {
-		return "rlnc"
-	}
-	return s.Scheme
-}
-
-// scheme parses the (already validated) coding scheme.
+// scheme, field and mac parse the coding scheme, coefficient field and
+// channel model of a Spec whose defaults are filled. Validate has vetted all
+// three by the time a runner asks.
 func (s Spec) scheme() coding.Scheme {
-	v, err := coding.ParseScheme(s.schemeName())
+	v, err := coding.ParseScheme(s.Scheme)
 	if err != nil {
 		panic(fmt.Sprintf("jobs: scheme %q passed Validate but not ParseScheme: %v", s.Scheme, err))
 	}
 	return v
 }
 
-// field parses the (already validated) coefficient field.
 func (s Spec) field() coding.Field {
 	v, err := coding.ParseField(s.Field)
 	if err != nil {
@@ -398,10 +457,9 @@ func (s Spec) field() coding.Field {
 	return v
 }
 
-// mac parses the channel model name.
 func (s Spec) mac() (sim.Mode, error) {
 	switch s.MAC {
-	case "", "oracle":
+	case "oracle":
 		return sim.ModeOracle, nil
 	case "csma":
 		return sim.ModeCSMA, nil
@@ -410,50 +468,24 @@ func (s Spec) mac() (sim.Mode, error) {
 	}
 }
 
-func knownProtocol(name string) bool {
-	switch name {
-	case experiments.ProtoOMNC, experiments.ProtoMORE, experiments.ProtoOldMORE, experiments.ProtoETX:
-		return true
+// Config maps the Spec onto the base experiment it describes: the scale,
+// then every filled field, then the figures' side effects. It is the one
+// place a Spec becomes an experiments.Config — every simulated kind runs
+// from it, and the CLIs print their preambles from it.
+func (s Spec) Config() experiments.Config {
+	d := s.withDefaults()
+	cfg := experiments.QuickConfig(d.Seed)
+	if d.Full {
+		cfg = experiments.PaperConfig(d.Seed)
 	}
-	return false
-}
-
-// comparisonConfig maps the Spec onto the Sec. 5 harness exactly the way
-// omnc-fig maps its flags: Quick or Paper scale, then the overrides.
-func (s Spec) comparisonConfig() experiments.Config {
-	cfg := experiments.QuickConfig(s.Seed)
-	if s.Full {
-		cfg = experiments.PaperConfig(s.Seed)
-	}
-	if s.Nodes > 0 {
-		cfg.Nodes = s.Nodes
-	}
-	if s.Density > 0 {
-		cfg.Density = s.Density
-	}
-	if s.Sessions > 0 {
-		cfg.Sessions = s.Sessions
-	}
-	if s.MinHops > 0 {
-		cfg.MinHops = s.MinHops
-	}
-	if s.MaxHops > 0 {
-		cfg.MaxHops = s.MaxHops
-	}
-	if s.Duration > 0 {
-		cfg.Duration = s.Duration
-	}
-	if s.Capacity > 0 {
-		cfg.Capacity = s.Capacity
-	}
-	if s.CBRRate != 0 {
-		cfg.CBRRate = rateOrBacklogged(s.CBRRate)
-	}
-	if len(s.Protocols) > 0 {
-		cfg.Protocols = append([]string(nil), s.Protocols...)
-	}
-	cfg.MeanQuality = s.MeanQuality
-	for _, f := range s.Figures {
+	cfg.Nodes, cfg.Density, cfg.MeanQuality = d.Nodes, d.Density, d.MeanQuality
+	cfg.Sessions, cfg.MinHops, cfg.MaxHops = d.Sessions, d.MinHops, d.MaxHops
+	cfg.Duration, cfg.Capacity = d.Duration, d.Capacity
+	// The Spec reserves 0 for the default rate and spells a backlogged
+	// source negative; the emulation spells backlogged 0.
+	cfg.CBRRate = max(d.CBRRate, 0)
+	cfg.Protocols = d.Protocols
+	for _, f := range d.Figures {
 		if f == "2r" && cfg.MeanQuality == 0 {
 			cfg.MeanQuality = 0.91
 		}
@@ -461,100 +493,61 @@ func (s Spec) comparisonConfig() experiments.Config {
 			cfg.SolveLPGap = true
 		}
 	}
-	cfg.Scheme = s.scheme()
-	cfg.Redundancy = s.Redundancy
-	if f := s.field(); f != cfg.Coding.Field {
-		// A wider field doubles the coefficient bytes; keep the air frame
-		// carrying the full coefficient vector plus the 1 KB payload.
-		cfg.Coding.Field = f
-		cfg.AirPacketSize = cfg.Coding.CoeffBytes() + 1024
-	}
-	cfg.Workers = s.Workers
-	cfg.EngineWorkers = s.EngineWorkers
-	cfg.Report = s.Report
-	mac, _ := s.mac()
-	cfg.MAC = mac
+	cfg.Scheme, cfg.Redundancy = d.scheme(), d.Redundancy
+	// A wider field doubles the coefficient bytes; the air frame carries
+	// the full coefficient vector plus the 1 KB payload.
+	cfg.Coding.Field = d.field()
+	cfg.AirPacketSize = cfg.Coding.CoeffBytes() + 1024
+	cfg.MAC, _ = d.mac()
+	cfg.Workers, cfg.EngineWorkers, cfg.Report = d.Workers, d.EngineWorkers, d.Report
 	return cfg
 }
 
-// multiPlan mirrors omnc-fig's multiFig: the session counts swept (capped
-// by Sessions) and the trial count (3 at full scale, 2 otherwise).
-func (s Spec) multiPlan() (counts []int, trials int) {
-	counts = []int{1, 2, 4, 6}
-	if s.Sessions > 0 && s.Sessions < counts[len(counts)-1] {
-		kept := counts[:0]
-		for _, c := range counts {
-			if c <= s.Sessions {
-				kept = append(kept, c)
-			}
-		}
-		counts = kept
+// driftConfig is the sweep the drift kind runs: at most 8 sessions under
+// five jitter levels, three epochs each.
+func (s Spec) driftConfig() experiments.DriftSweepConfig {
+	base := s.Config()
+	base.Sessions = min(base.Sessions, 8)
+	// Shorter generations keep per-epoch throughput measurable.
+	base.Coding.GenerationSize = 16
+	base.AirPacketSize = base.Coding.CoeffBytes() + 1024
+	return experiments.DriftSweepConfig{
+		Base:           base,
+		Jitters:        []float64{0, 0.1, 0.2, 0.3, 0.4},
+		Epochs:         3,
+		ReinitOverhead: 5,
 	}
-	trials = 2
+}
+
+// MultiConfig is the sweep the multi kind runs: session counts 1, 2, 4, 6
+// capped by Sessions, two placements per count (three at full scale).
+func (s Spec) MultiConfig() experiments.MultiConfig {
+	mc := experiments.MultiConfig{Base: s.Config(), Trials: 2}
 	if s.Full {
-		trials = 3
+		mc.Trials = 3
 	}
-	return counts, trials
-}
-
-// faultsPlan mirrors omnc-fig's faultsFig: session count (capped at 4) and
-// the churn ladder.
-func (s Spec) faultsPlan() (sessions int, churn []float64) {
-	base := s.comparisonConfig()
-	sessions = base.Sessions
-	if sessions > 4 {
-		sessions = 4
+	for _, c := range []int{1, 2, 4, 6} {
+		if c <= mc.Base.Sessions {
+			mc.SessionCounts = append(mc.SessionCounts, c)
+		}
 	}
-	return sessions, []float64{0, 2, 5}
+	return mc
 }
 
-// schemesConfig mirrors omnc-fig's schemesFig mapping.
-func (s Spec) schemesConfig(progress *progressHandle) experiments.SchemesConfig {
-	base := s.comparisonConfig()
-	sc := experiments.SchemesConfig{
-		Duration:      base.Duration,
-		Capacity:      base.Capacity,
-		CBRRate:       base.CBRRate,
-		MAC:           base.MAC,
-		RateOptions:   base.RateOptions,
-		Seed:          base.Seed,
-		Workers:       base.Workers,
-		EngineWorkers: base.EngineWorkers,
-	}
-	if progress != nil {
-		sc.Progress = progress.p
-		sc.Ctx = progress.ctx
-	}
-	return sc
+// FaultsConfig is the sweep the faults kind runs: at most 4 placed sessions
+// crossed with the churn ladder.
+func (s Spec) FaultsConfig() experiments.FaultsConfig {
+	fc := experiments.FaultsConfig{Base: s.Config(), ChurnRates: []float64{0, 2, 5}}
+	fc.Base.Sessions = min(fc.Base.Sessions, 4)
+	return fc
 }
 
-// rateOrBacklogged maps the Spec's CBR encoding onto the runners': negative
-// means backlogged, which the emulation spells 0.
-func rateOrBacklogged(r float64) float64 {
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// EffectiveComparison returns the experiments.Config the comparison-family
-// kinds will run — scale selection, overrides and figure side effects
-// applied. CLIs use it to print accurate preambles without duplicating the
-// mapping.
-func (s Spec) EffectiveComparison() experiments.Config {
-	return s.comparisonConfig()
-}
-
-// MultiPlan returns the session counts and per-count trials the multi kind
-// will sweep.
-func (s Spec) MultiPlan() (counts []int, trials int) {
-	return s.multiPlan()
-}
-
-// FaultsPlan returns the session count and churn ladder the faults kind
-// will sweep.
-func (s Spec) FaultsPlan() (sessions int, churn []float64) {
-	return s.faultsPlan()
+// schemesConfig is the sweep the schemes kind runs: the runner's default
+// axes, with the chain sweep's own generation shape at every scale.
+func (s Spec) schemesConfig() experiments.SchemesConfig {
+	base := s.Config()
+	base.Coding, base.AirPacketSize = coding.Params{}, 0
+	return experiments.SchemesConfig{Base: base}
 }
 
 // SortedFigures returns the job's figures in stable order (the artifact
