@@ -63,7 +63,6 @@ func (d *BatchDecoder) TryDecode() bool {
 	if len(d.packets) < n {
 		return false
 	}
-	st := d.params.strategy()
 	// Working copies: elimination is destructive.
 	coeffs := make([][]byte, len(d.packets))
 	payloads := make([][]byte, len(d.packets))
@@ -92,15 +91,15 @@ func (d *BatchDecoder) TryDecode() bool {
 		coeffs[row], coeffs[sel] = coeffs[sel], coeffs[row]
 		payloads[row], payloads[sel] = payloads[sel], payloads[row]
 		inv := gf256.Inv(coeffs[row][col])
-		gf256.ScaleSlice(st, coeffs[row], inv)
-		gf256.ScaleSlice(st, payloads[row], inv)
+		gf256.Scale(coeffs[row], inv)
+		gf256.Scale(payloads[row], inv)
 		for r := 0; r < len(coeffs); r++ {
 			if r == row {
 				continue
 			}
 			if f := coeffs[r][col]; f != 0 {
-				gf256.MulAddSlice(st, coeffs[r], coeffs[row], f)
-				gf256.MulAddSlice(st, payloads[r], payloads[row], f)
+				gf256.MulAdd(coeffs[r], coeffs[row], f)
+				gf256.MulAdd(payloads[r], payloads[row], f)
 			}
 		}
 		pivotRow[col] = row

@@ -26,21 +26,16 @@ import (
 	"fmt"
 	"math/rand"
 	"sync/atomic"
-
-	"omnc/internal/gf256"
 )
 
 // Params fixes the coding parameters of a session. The paper's evaluation
-// uses 40 blocks of 1 KB per generation.
+// uses 40 blocks of 1 KB per generation. Field alone decides the arithmetic:
+// each field has one bulk kernel (gf256.MulAdd, gf16.MulAdd).
 type Params struct {
 	// GenerationSize is n, the number of source blocks per generation.
 	GenerationSize int
 	// BlockSize is m, the number of payload bytes per block.
 	BlockSize int
-	// Strategy selects the GF(2^8) bulk-arithmetic kernel. The zero value
-	// means gf256.StrategyAccel. Ignored under Field16, which has a single
-	// kernel.
-	Strategy gf256.Strategy
 	// Field selects the coefficient field; the zero value is Field8
 	// (GF(2^8), the paper's field, bit-identical to builds without the
 	// option). Field16 halves the non-innovation probability per packet at
@@ -51,7 +46,7 @@ type Params struct {
 // DefaultParams are the evaluation parameters from Sec. 5 of the paper:
 // each generation contains 40 data blocks and each data block is 1 KB.
 func DefaultParams() Params {
-	return Params{GenerationSize: 40, BlockSize: 1024, Strategy: gf256.StrategyAccel}
+	return Params{GenerationSize: 40, BlockSize: 1024}
 }
 
 // Validate reports whether the parameters identify a usable code.
@@ -79,13 +74,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-func (p Params) strategy() gf256.Strategy {
-	if p.Strategy == 0 {
-		return gf256.StrategyAccel
-	}
-	return p.Strategy
-}
-
 // CoeffBytes returns the packed size of the coefficient vector in bytes:
 // GenerationSize elements of the field's element width.
 func (p Params) CoeffBytes() int { return p.GenerationSize * p.Field.elemSize() }
@@ -95,8 +83,9 @@ func (p Params) CoeffBytes() int { return p.GenerationSize * p.Field.elemSize() 
 // by the simulator.)
 func (p Params) PacketSize() int { return p.CoeffBytes() + p.BlockSize }
 
-// Packet is one coded packet: a GF(2^8) linear combination of the blocks of
-// one generation, carrying its combination coefficients. Packets emitted by
+// Packet is one coded packet: a linear combination of the blocks of one
+// generation over the session's field (Params.Field), carrying its
+// combination coefficients. Packets emitted by
 // Encoder.Next and Recoder.Next are pooled and reference counted — see the
 // package-level ownership contract.
 type Packet struct {

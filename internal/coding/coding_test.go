@@ -9,7 +9,7 @@ import (
 )
 
 func testParams(n, m int) Params {
-	return Params{GenerationSize: n, BlockSize: m, Strategy: gf256.StrategyAccel}
+	return Params{GenerationSize: n, BlockSize: m}
 }
 
 func randomData(rng *rand.Rand, n int) []byte {
@@ -160,8 +160,8 @@ func TestNonInnovativePacketDiscarded(t *testing.T) {
 	// A scaled copy is also non-innovative.
 	pk2 := enc.Next()
 	scaled := pk2.Clone()
-	gf256.ScaleSlice(gf256.StrategyAccel, scaled.Coeffs, 7)
-	gf256.ScaleSlice(gf256.StrategyAccel, scaled.Payload, 7)
+	gf256.Scale(scaled.Coeffs, 7)
+	gf256.Scale(scaled.Payload, 7)
 	if inn, _ := dec.Add(pk2); !inn {
 		t.Fatal("second packet must be innovative")
 	}
@@ -389,25 +389,30 @@ func TestNewDecoderRecoderValidate(t *testing.T) {
 	}
 }
 
-func TestStrategiesProduceSameDecoding(t *testing.T) {
-	// The choice of arithmetic kernel must never change decoding results.
-	data := make([]byte, 6*8)
-	rand.New(rand.NewSource(18)).Read(data)
-	var outputs [][]byte
-	for _, s := range []gf256.Strategy{gf256.StrategyNaive, gf256.StrategyTable, gf256.StrategyBitPlane, gf256.StrategyAccel} {
-		p := Params{GenerationSize: 6, BlockSize: 8, Strategy: s}
-		rng := rand.New(rand.NewSource(19)) // same packet sequence per strategy
+// TestTwoHopRecodeRoundTrip pins the production GF(2^8) path on the two row
+// shapes the traffic has — 40 coefficients in front of 8-byte and of 1 KiB
+// blocks: a generation encoded, recoded at two successive relays and decoded
+// must equal the source.
+func TestTwoHopRecodeRoundTrip(t *testing.T) {
+	for _, m := range []int{8, 1024} {
+		rng := rand.New(rand.NewSource(18))
+		p := testParams(40, m)
+		data := randomData(rng, 40*m)
 		gen, _ := NewGeneration(0, p, data)
 		enc := NewEncoder(gen, rng)
+		relay1, _ := NewRecoder(0, p, rng)
+		relay2, _ := NewRecoder(0, p, rng)
 		dec, _ := NewDecoder(0, p)
-		for !dec.Decoded() {
-			dec.Add(enc.Next())
+		for sent := 0; !dec.Decoded(); sent++ {
+			if sent > 3*40 {
+				t.Fatalf("block size %d: stalled at rank %d", m, dec.Rank())
+			}
+			relay1.Add(enc.Next())
+			relay2.Add(relay1.Next())
+			dec.Add(relay2.Next())
 		}
-		outputs = append(outputs, dec.Data())
-	}
-	for i := 1; i < len(outputs); i++ {
-		if !bytes.Equal(outputs[0], outputs[i]) {
-			t.Fatalf("strategy %d decoded different data", i)
+		if !bytes.Equal(dec.Data(), data) {
+			t.Fatalf("block size %d: two-hop recoded round trip corrupted data", m)
 		}
 	}
 }

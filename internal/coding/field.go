@@ -67,11 +67,12 @@ func (f Field) elemSize() int {
 }
 
 // fieldOps is a field resolved into direct function pointers — the
-// coefficient-level strategy layer beneath Encoder and rref. The Field8 ops
-// wrap exactly the gf256.Kernel the code used before fields existed: same
-// functions, same call sequence, same RNG draws, so default-field runs stay
-// bit-identical. Coefficients and payloads are byte slices holding packed
-// field elements; all values travel as uint32 to cover both element widths.
+// coefficient-level layer beneath Encoder and rref. Each field has exactly
+// one bulk kernel: the Field8 row calls gf256's production functions (the
+// full-table row kernel) and the Field16 row calls gf16's; nothing here or
+// above selects a kernel. Coefficients and payloads are byte slices holding
+// packed field elements; all values travel as uint32 to cover both element
+// widths.
 type fieldOps struct {
 	field    Field
 	mulAdd   func(dst, src []byte, c uint32)
@@ -82,26 +83,18 @@ type fieldOps struct {
 	randElem func(rng *rand.Rand) uint32
 }
 
-var (
-	// field8Ops is indexed by the raw gf256.Strategy value (0 = default).
-	field8Ops  [5]fieldOps
-	field16Ops fieldOps
-)
-
-func init() {
-	for s := range field8Ops {
-		k := gf256.KernelFor(gf256.Strategy(s))
-		field8Ops[s] = fieldOps{
-			field:    Field8,
-			mulAdd:   func(dst, src []byte, c uint32) { k.MulAdd(dst, src, byte(c)) },
-			mul:      func(dst, src []byte, c uint32) { k.Mul(dst, src, byte(c)) },
-			inv:      func(c uint32) uint32 { return uint32(gf256.Inv(byte(c))) },
-			elem:     func(b []byte, i int) uint32 { return uint32(b[i]) },
-			setElem:  func(b []byte, i int, v uint32) { b[i] = byte(v) },
-			randElem: func(rng *rand.Rand) uint32 { return uint32(byte(rng.Intn(256))) },
-		}
-	}
-	field16Ops = fieldOps{
+// fieldOpsTable is indexed by Field.
+var fieldOpsTable = [fieldCount]fieldOps{
+	Field8: {
+		field:    Field8,
+		mulAdd:   func(dst, src []byte, c uint32) { gf256.MulAdd(dst, src, byte(c)) },
+		mul:      func(dst, src []byte, c uint32) { gf256.MulSlice(dst, src, byte(c)) },
+		inv:      func(c uint32) uint32 { return uint32(gf256.Inv(byte(c))) },
+		elem:     func(b []byte, i int) uint32 { return uint32(b[i]) },
+		setElem:  func(b []byte, i int, v uint32) { b[i] = byte(v) },
+		randElem: func(rng *rand.Rand) uint32 { return uint32(byte(rng.Intn(256))) },
+	},
+	Field16: {
 		field:    Field16,
 		mulAdd:   func(dst, src []byte, c uint32) { gf16.MulAdd(dst, src, uint16(c)) },
 		mul:      func(dst, src []byte, c uint32) { gf16.MulSlice(dst, src, uint16(c)) },
@@ -109,17 +102,9 @@ func init() {
 		elem:     func(b []byte, i int) uint32 { return uint32(gf16.Elem(b, i)) },
 		setElem:  func(b []byte, i int, v uint32) { gf16.SetElem(b, i, uint16(v)) },
 		randElem: func(rng *rand.Rand) uint32 { return uint32(rng.Intn(1 << 16)) },
-	}
+	},
 }
 
-// fieldOps resolves the parameter set's coefficient-arithmetic kernels.
-func (p Params) fieldOps() *fieldOps {
-	if p.Field == Field16 {
-		return &field16Ops
-	}
-	s := int(p.Strategy)
-	if s < 0 || s >= len(field8Ops) {
-		s = 0 // KernelFor maps unknown strategies to the accel default too
-	}
-	return &field8Ops[s]
-}
+// fieldOps resolves the parameter set's coefficient arithmetic. Callers hold
+// validated Params, so Field indexes the table.
+func (p Params) fieldOps() *fieldOps { return &fieldOpsTable[p.Field] }

@@ -29,7 +29,6 @@ const maxRSShards = 256
 // packet arena and the caller owns one reference per packet.
 type RSEncoder struct {
 	gen     *Generation
-	kernel  gf256.Kernel
 	next    int // next shard index, cycling [0, maxRSShards)
 	budget  int // emissions allowed per generation; 0 = unlimited
 	emitted int
@@ -46,7 +45,7 @@ func NewRSEncoder(gen *Generation) (*RSEncoder, error) {
 	if gen.params.Field != Field8 {
 		return nil, fmt.Errorf("%w: Reed-Solomon is a GF(2^8) Cauchy construction", ErrInvalidField)
 	}
-	return &RSEncoder{gen: gen, kernel: gf256.KernelFor(gen.params.strategy())}, nil
+	return &RSEncoder{gen: gen}, nil
 }
 
 // Shards returns the number of distinct shards the code can emit before it
@@ -81,7 +80,7 @@ func (rs *RSEncoder) fill(pk *Packet, shard int) {
 	for c := 0; c < n; c++ {
 		w := gf256.Inv(byte(shard) ^ byte(c))
 		pk.Coeffs[c] = w
-		rs.kernel.MulAdd(pk.Payload, rs.gen.blocks[c], w)
+		gf256.MulAdd(pk.Payload, rs.gen.blocks[c], w)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 
 	"omnc/internal/coding"
 	"omnc/internal/core"
-	"omnc/internal/gf256"
 	"omnc/internal/graph"
 	"omnc/internal/metrics"
 	"omnc/internal/parallel"
@@ -162,7 +161,7 @@ func PaperConfig(seed int64) Config {
 		Duration:            800,
 		Capacity:            2e4,
 		CBRRate:             1e4,
-		Coding:              coding.Params{GenerationSize: 40, BlockSize: 1024, Strategy: gf256.StrategyAccel},
+		Coding:              coding.Params{GenerationSize: 40, BlockSize: 1024},
 		AirPacketSize:       40 + 1024,
 		QueueSampleInterval: 0.5,
 		Seed:                seed,

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"omnc/internal/coding"
-	"omnc/internal/gf256"
 	"omnc/internal/metrics"
 )
 
@@ -23,7 +22,7 @@ func tinyConfig(seed int64) Config {
 		Duration:            120,
 		Capacity:            2e4,
 		CBRRate:             1e4,
-		Coding:              coding.Params{GenerationSize: 16, BlockSize: 4, Strategy: gf256.StrategyAccel},
+		Coding:              coding.Params{GenerationSize: 16, BlockSize: 4},
 		AirPacketSize:       16 + 1024,
 		QueueSampleInterval: 0.5,
 		Seed:                seed,

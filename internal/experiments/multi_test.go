@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"omnc/internal/coding"
-	"omnc/internal/gf256"
 	"omnc/internal/metrics"
 )
 
@@ -20,7 +19,7 @@ func tinyMultiConfig(seed int64) MultiConfig {
 			Duration:      80,
 			Capacity:      2e4,
 			CBRRate:       1e4,
-			Coding:        coding.Params{GenerationSize: 16, BlockSize: 4, Strategy: gf256.StrategyAccel},
+			Coding:        coding.Params{GenerationSize: 16, BlockSize: 4},
 			AirPacketSize: 16 + 1024,
 			Seed:          seed,
 		},

@@ -1,6 +1,85 @@
 package gf256
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
+
+// The ablation surface: the bulk kernels the production path was measured
+// against, selectable by Strategy so the benchmark's gf256.muladd_* rows,
+// BenchmarkMulAdd*1K and FuzzGFKernels can run them side by side. Only this
+// package and benchmark/ may name it; a CI grep holds every other package out.
+
+// Strategy names one bulk multiply-accumulate kernel for MulAddSlice.
+type Strategy int
+
+const (
+	// StrategyAccel is half-byte (nibble) table multiplication, the scalar
+	// analogue of the PSHUFB/SSE2 technique the paper accelerates coding
+	// with. The two 16-entry tables stay in L1 or registers but are rebuilt
+	// on every call.
+	StrategyAccel Strategy = iota + 1
+	// StrategyBitPlane is 64-bit-wide bit-plane XOR multiplication, the
+	// other wide-datapath kernel.
+	StrategyBitPlane
+	// StrategyTable walks the full product table's row for c, one byte at a
+	// time: the kernel MulAdd uses.
+	StrategyTable
+	// StrategyNaive uses log/exp lookups per byte, the paper's baseline
+	// ("traditional lookup-table approach").
+	StrategyNaive
+)
+
+// String returns the strategy name for logs and benchmarks.
+func (s Strategy) String() string {
+	switch s {
+	case StrategyAccel:
+		return "accel"
+	case StrategyBitPlane:
+		return "bitplane"
+	case StrategyTable:
+		return "table"
+	case StrategyNaive:
+		return "naive"
+	default:
+		return fmt.Sprintf("Strategy(%d)", int(s))
+	}
+}
+
+// MulAddSlice computes dst[i] ^= c * src[i] with the named kernel, under
+// MulAdd's length and aliasing contract. An unknown strategy runs the nibble
+// kernel.
+func MulAddSlice(strategy Strategy, dst, src []byte, c byte) {
+	if len(dst) != len(src) {
+		panic("gf256: MulAddSlice length mismatch")
+	}
+	if c == 0 {
+		return
+	}
+	if c == 1 {
+		xorSlice(dst, src)
+		return
+	}
+	switch strategy {
+	case StrategyNaive:
+		mulAddNaive(dst, src, c)
+	case StrategyTable:
+		mulAddTable(dst, src, c)
+	case StrategyBitPlane:
+		mulAddWideXOR(dst, src, c)
+	default:
+		mulAddNibble(dst, src, c)
+	}
+}
+
+func mulAddNaive(dst, src []byte, c byte) {
+	logC := int(logTable[c])
+	for i, v := range src {
+		if v != 0 {
+			dst[i] ^= expTable[logC+int(logTable[v])]
+		}
+	}
+}
 
 // The wide-XOR strategy exploits that multiplication by a fixed c is
 // GF(2)-linear in the bits of the operand:
@@ -85,22 +164,6 @@ func mulAddWideXOR(dst, src []byte, c byte) {
 	}
 }
 
-func mulWideXOR(dst, src []byte, c byte) {
-	p := broadcastPlanes(c)
-	n := len(src) &^ 7
-	for i := 0; i < n; i += 8 {
-		s := src[i : i+8 : i+8]
-		d := dst[i : i+8 : i+8]
-		binary.LittleEndian.PutUint64(d, mulWord(binary.LittleEndian.Uint64(s), &p))
-	}
-	for i := n; i < len(src); i++ {
-		dst[i] = mulTable[c][src[i]]
-	}
-}
-
-func leUint64(b []byte) uint64       { return binary.LittleEndian.Uint64(b) }
-func putLeUint64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
-
 // The nibble strategy is the scalar analogue of the PSHUFB technique used by
 // SIMD GF(2^8) kernels (and the spirit of the paper's SSE2 loop): split each
 // operand byte into two 4-bit halves and resolve each half against a 16-entry
@@ -137,26 +200,5 @@ func mulAddNibble(dst, src []byte, c byte) {
 	}
 	for ; i < n; i++ {
 		dst[i] ^= lo[src[i]&0xF] ^ hi[src[i]>>4]
-	}
-}
-
-func mulNibble(dst, src []byte, c byte) {
-	lo, hi := nibbleTables(c)
-	n := len(src)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		s := src[i : i+8 : i+8]
-		d := dst[i : i+8 : i+8]
-		d[0] = lo[s[0]&0xF] ^ hi[s[0]>>4]
-		d[1] = lo[s[1]&0xF] ^ hi[s[1]>>4]
-		d[2] = lo[s[2]&0xF] ^ hi[s[2]>>4]
-		d[3] = lo[s[3]&0xF] ^ hi[s[3]>>4]
-		d[4] = lo[s[4]&0xF] ^ hi[s[4]>>4]
-		d[5] = lo[s[5]&0xF] ^ hi[s[5]>>4]
-		d[6] = lo[s[6]&0xF] ^ hi[s[6]>>4]
-		d[7] = lo[s[7]&0xF] ^ hi[s[7]>>4]
-	}
-	for ; i < n; i++ {
-		dst[i] = lo[src[i]&0xF] ^ hi[src[i]>>4]
 	}
 }

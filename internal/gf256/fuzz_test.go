@@ -20,12 +20,13 @@ func refMul(dst, src []byte, c byte) {
 	}
 }
 
-// FuzzGFKernels differentially tests every bulk kernel — nibble, bit-plane
-// wide XOR, full table, naive log/exp, and the c==1 xorSlice fast path —
-// against the byte-at-a-time reference, across random lengths (word loops
-// plus tails), random buffer alignments (the wide kernels read 8-byte words
-// at arbitrary offsets) and dst==src aliasing (the in-place Scale pattern;
-// partial overlap stays forbidden by contract).
+// FuzzGFKernels differentially tests the production entry points (MulAdd,
+// MulSlice, Scale — the full-table row kernel plus the c==0 and c==1
+// xorSlice/copy/clear fast paths) and the four MulAddSlice ablation
+// strategies against the byte-at-a-time reference, across random lengths
+// (word loops plus tails), random buffer alignments (xorSlice and the wide
+// kernels read 8-byte words at arbitrary offsets) and dst==src aliasing (the
+// in-place Scale pattern; partial overlap stays forbidden by contract).
 func FuzzGFKernels(f *testing.F) {
 	f.Add([]byte{}, byte(0), uint8(0), false)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, byte(1), uint8(1), false)
@@ -33,7 +34,14 @@ func FuzzGFKernels(f *testing.F) {
 	f.Add([]byte{0x80, 0x00, 0x1B, 0xCA}, byte(0x02), uint8(3), false)
 	f.Add(bytes.Repeat([]byte{0xAA, 0x55}, 100), byte(0xFE), uint8(5), true)
 
-	strategies := []Strategy{StrategyAccel, StrategyBitPlane, StrategyTable, StrategyNaive}
+	type mulAddFn struct {
+		name string
+		f    func(dst, src []byte, c byte)
+	}
+	mulAdds := []mulAddFn{{"MulAdd", MulAdd}}
+	for _, s := range allStrategies {
+		mulAdds = append(mulAdds, mulAddFn{s.String() + " MulAddSlice", func(dst, src []byte, c byte) { MulAddSlice(s, dst, src, c) }})
+	}
 	f.Fuzz(func(t *testing.T, data []byte, c byte, offset uint8, alias bool) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -53,53 +61,37 @@ func FuzzGFKernels(f *testing.F) {
 		refMulAdd(wantAdd, src, c)
 		wantMul := make([]byte, len(data))
 		refMul(wantMul, src, c)
-		wantScale := append([]byte(nil), src...)
-		refMul(wantScale, wantScale, c)
+		wantSelf := append([]byte(nil), src...)
+		refMulAdd(wantSelf, src, c)
 
-		for _, s := range strategies {
-			k := KernelFor(s)
-
-			dst := make([]byte, off+len(data))[off:]
+		dst := make([]byte, off+len(data))[off:]
+		for _, k := range mulAdds {
 			copy(dst, dstInit)
-			MulAddSlice(s, dst, src, c)
+			k.f(dst, src, c)
 			if !bytes.Equal(dst, wantAdd) {
-				t.Fatalf("%v MulAddSlice(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, dst, wantAdd)
+				t.Fatalf("%s(c=%#x, n=%d, off=%d) = %x, want %x", k.name, c, len(data), off, dst, wantAdd)
 			}
-
-			copy(dst, dstInit)
-			k.MulAdd(dst, src, c)
-			if !bytes.Equal(dst, wantAdd) {
-				t.Fatalf("%v Kernel.MulAdd(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, dst, wantAdd)
-			}
-
-			copy(dst, dstInit)
-			MulSlice(s, dst, src, c)
-			if !bytes.Equal(dst, wantMul) {
-				t.Fatalf("%v MulSlice(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, dst, wantMul)
-			}
-
-			copy(dst, dstInit)
-			k.Mul(dst, src, c)
-			if !bytes.Equal(dst, wantMul) {
-				t.Fatalf("%v Kernel.Mul(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, dst, wantMul)
-			}
-
 			if alias {
 				// dst == src exactly: the one aliasing shape the contract
 				// permits, exercised by Scale and in-place elimination.
-				buf := make([]byte, off+len(data))[off:]
-				copy(buf, src)
-				k.Scale(buf, c)
-				if !bytes.Equal(buf, wantScale) {
-					t.Fatalf("%v Scale(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, buf, wantScale)
+				copy(dst, src)
+				k.f(dst, dst, c)
+				if !bytes.Equal(dst, wantSelf) {
+					t.Fatalf("%s self-alias(c=%#x, n=%d, off=%d) = %x, want %x", k.name, c, len(data), off, dst, wantSelf)
 				}
-				copy(buf, src)
-				MulAddSlice(s, buf, buf, c)
-				wantSelf := append([]byte(nil), src...)
-				refMulAdd(wantSelf, src, c)
-				if !bytes.Equal(buf, wantSelf) {
-					t.Fatalf("%v MulAddSlice self-alias(c=%#x, n=%d, off=%d) = %x, want %x", s, c, len(data), off, buf, wantSelf)
-				}
+			}
+		}
+
+		copy(dst, dstInit)
+		MulSlice(dst, src, c)
+		if !bytes.Equal(dst, wantMul) {
+			t.Fatalf("MulSlice(c=%#x, n=%d, off=%d) = %x, want %x", c, len(data), off, dst, wantMul)
+		}
+		if alias {
+			copy(dst, src)
+			Scale(dst, c)
+			if !bytes.Equal(dst, wantMul) {
+				t.Fatalf("Scale(c=%#x, n=%d, off=%d) = %x, want %x", c, len(data), off, dst, wantMul)
 			}
 		}
 	})

@@ -2,22 +2,28 @@
 // Rijndael's reduction polynomial x^8 + x^4 + x^3 + x + 1 (0x11B), the field
 // OMNC uses for random linear network coding (Sec. 3.1 and 4 of the paper).
 //
-// Besides scalar operations, the package provides bulk slice operations in
-// three implementations with identical semantics and very different speeds:
+// Besides scalar operations, the package has one production bulk kernel:
+// MulAdd, MulSlice and Scale walk the operand against the 256-byte row of
+// the full product table that belongs to the coefficient. It is the only
+// bulk path package coding can reach, chosen by measurement on the two row
+// shapes the traffic has — 1 KiB payload rows and 8-48 byte coefficient and
+// short-block rows — where it beats every alternative below: the row needs
+// no per-call set-up (which is most of a short row's cost under the nibble
+// kernel) and pure Go gains nothing from widening the data path.
 //
-//   - StrategyNaive:   per-byte log/exp table lookups, the paper's
-//     "traditional lookup-table approach" baseline.
-//   - StrategyTable:   a 64 KiB full product table, a stronger baseline.
-//   - StrategyWideXOR: word-wide (8 bytes per step) bit-plane XOR
-//     multiplication. This is the portable substitute for the paper's SSE2
-//     loop-based acceleration; like SSE2 it widens the data path so several
-//     bytes are processed per operation.
+// The ablation surface — Strategy, its four constants and MulAddSlice — keeps
+// the alternatives runnable side by side: the nibble ("accel") kernel, the
+// 64-bit bit-plane kernel, the full-table kernel again, and the paper's
+// per-byte log/exp baseline. Its users are the benchmark's gf256.muladd_*
+// ledger rows, BenchmarkMulAdd*1K and FuzzGFKernels, which cross-checks all
+// of them against a shift-and-reduce reference; nothing outside this package
+// and the benchmark may call it (CI greps for that).
 //
 // All operations are safe for concurrent use; the tables are immutable after
 // package initialization.
 package gf256
 
-import "fmt"
+import "encoding/binary"
 
 // Poly is Rijndael's irreducible polynomial with the leading x^8 bit,
 // used to reduce products back into the field.
@@ -136,107 +142,43 @@ func Log(a byte) int {
 	return int(logTable[a])
 }
 
-// Strategy selects a bulk-operation implementation.
-type Strategy int
-
-const (
-	// StrategyAccel is the default: half-byte (nibble) table multiplication,
-	// the scalar analogue of the PSHUFB/SSE2 technique the paper accelerates
-	// coding with. The two 16-entry tables stay in L1 or registers.
-	StrategyAccel Strategy = iota + 1
-	// StrategyBitPlane is 64-bit-wide bit-plane XOR multiplication, an
-	// alternative wide-datapath kernel kept for the acceleration ablation.
-	StrategyBitPlane
-	// StrategyTable uses the 64 KiB full product table, one byte at a time.
-	StrategyTable
-	// StrategyNaive uses log/exp lookups per byte, the paper's baseline
-	// ("traditional lookup-table approach").
-	StrategyNaive
-)
-
-// String returns the strategy name for logs and benchmarks.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyAccel:
-		return "accel"
-	case StrategyBitPlane:
-		return "bitplane"
-	case StrategyTable:
-		return "table"
-	case StrategyNaive:
-		return "naive"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// MulAddSlice computes dst[i] ^= c * src[i] for all i using the given
-// strategy. dst and src must have equal length and must not overlap
-// partially (identical slices are fine). This is the inner loop of both
-// encoding and Gauss-Jordan elimination.
-func MulAddSlice(strategy Strategy, dst, src []byte, c byte) {
+// MulAdd computes dst[i] ^= c * src[i] for all i: the inner loop of
+// encoding, re-encoding and Gauss-Jordan elimination. dst and src must have
+// equal length and must not overlap partially (identical slices are fine).
+func MulAdd(dst, src []byte, c byte) {
 	if len(dst) != len(src) {
-		panic("gf256: MulAddSlice length mismatch")
+		panic("gf256: MulAdd length mismatch")
 	}
-	if c == 0 {
-		return
-	}
-	if c == 1 {
+	switch c {
+	case 0:
+	case 1:
 		xorSlice(dst, src)
-		return
-	}
-	switch strategy {
-	case StrategyNaive:
-		mulAddNaive(dst, src, c)
-	case StrategyTable:
-		mulAddTable(dst, src, c)
-	case StrategyBitPlane:
-		mulAddWideXOR(dst, src, c)
 	default:
-		mulAddNibble(dst, src, c)
+		mulAddTable(dst, src, c)
 	}
 }
 
-// MulSlice computes dst[i] = c * src[i] for all i using the given strategy.
-func MulSlice(strategy Strategy, dst, src []byte, c byte) {
+// MulSlice computes dst[i] = c * src[i] for all i, under the same length and
+// aliasing contract as MulAdd.
+func MulSlice(dst, src []byte, c byte) {
 	if len(dst) != len(src) {
 		panic("gf256: MulSlice length mismatch")
 	}
-	switch {
-	case c == 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-	case c == 1:
+	switch c {
+	case 0:
+		clear(dst)
+	case 1:
 		copy(dst, src)
 	default:
-		switch strategy {
-		case StrategyNaive:
-			logC := int(logTable[c])
-			for i, v := range src {
-				if v == 0 {
-					dst[i] = 0
-				} else {
-					dst[i] = expTable[logC+int(logTable[v])]
-				}
-			}
-		case StrategyTable:
-			row := &mulTable[c]
-			for i, v := range src {
-				dst[i] = row[v]
-			}
-		case StrategyBitPlane:
-			mulWideXOR(dst, src, c)
-		default:
-			mulNibble(dst, src, c)
+		row := &mulTable[c]
+		for i, v := range src {
+			dst[i] = row[v]
 		}
 	}
 }
 
-// ScaleSlice multiplies the slice in place by c.
-func ScaleSlice(strategy Strategy, s []byte, c byte) {
-	MulSlice(strategy, s, s, c)
-}
+// Scale multiplies the slice in place by c.
+func Scale(s []byte, c byte) { MulSlice(s, s, c) }
 
 // DotProduct returns the inner product of a and b over GF(2^8).
 func DotProduct(a, b []byte) byte {
@@ -254,111 +196,20 @@ func xorSlice(dst, src []byte) {
 	n := len(dst)
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		d := leUint64(dst[i:])
-		s := leUint64(src[i:])
-		putLeUint64(dst[i:], d^s)
+		d := binary.LittleEndian.Uint64(dst[i:])
+		s := binary.LittleEndian.Uint64(src[i:])
+		binary.LittleEndian.PutUint64(dst[i:], d^s)
 	}
 	for ; i < n; i++ {
 		dst[i] ^= src[i]
 	}
 }
 
-func mulAddNaive(dst, src []byte, c byte) {
-	logC := int(logTable[c])
-	for i, v := range src {
-		if v != 0 {
-			dst[i] ^= expTable[logC+int(logTable[v])]
-		}
-	}
-}
-
+// mulAddTable is the production kernel: one 256-byte row of the product
+// table, hoisted out of the loop, resolves every operand byte in one load.
 func mulAddTable(dst, src []byte, c byte) {
 	row := &mulTable[c]
 	for i, v := range src {
 		dst[i] ^= row[v]
-	}
-}
-
-// Kernel is a strategy resolved once into direct function pointers, so hot
-// loops (Gauss-Jordan elimination, re-encoding) skip the per-call strategy
-// dispatch of MulAddSlice/MulSlice. The zero Kernel is invalid; obtain one
-// from KernelFor.
-type Kernel struct {
-	strategy Strategy
-	mulAdd   func(dst, src []byte, c byte)
-	mul      func(dst, src []byte, c byte)
-}
-
-// KernelFor resolves the strategy's bulk kernels.
-func KernelFor(strategy Strategy) Kernel {
-	k := Kernel{strategy: strategy}
-	switch strategy {
-	case StrategyNaive:
-		k.mulAdd, k.mul = mulAddNaive, mulNaive
-	case StrategyTable:
-		k.mulAdd, k.mul = mulAddTable, mulSliceTable
-	case StrategyBitPlane:
-		k.mulAdd, k.mul = mulAddWideXOR, mulWideXOR
-	default:
-		k.strategy = StrategyAccel
-		k.mulAdd, k.mul = mulAddNibble, mulNibble
-	}
-	return k
-}
-
-// Strategy returns the strategy the kernel was resolved from.
-func (k Kernel) Strategy() Strategy { return k.strategy }
-
-// MulAdd computes dst[i] ^= c * src[i]; the Kernel counterpart of
-// MulAddSlice.
-func (k Kernel) MulAdd(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf256: Kernel.MulAdd length mismatch")
-	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		xorSlice(dst, src)
-	default:
-		k.mulAdd(dst, src, c)
-	}
-}
-
-// Mul computes dst[i] = c * src[i]; the Kernel counterpart of MulSlice.
-func (k Kernel) Mul(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf256: Kernel.Mul length mismatch")
-	}
-	switch c {
-	case 0:
-		clear(dst)
-	case 1:
-		copy(dst, src)
-	default:
-		k.mul(dst, src, c)
-	}
-}
-
-// Scale multiplies the slice in place by c.
-func (k Kernel) Scale(s []byte, c byte) { k.Mul(s, s, c) }
-
-// mulNaive is MulSlice's naive path as a direct kernel.
-func mulNaive(dst, src []byte, c byte) {
-	logC := int(logTable[c])
-	for i, v := range src {
-		if v == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = expTable[logC+int(logTable[v])]
-		}
-	}
-}
-
-// mulSliceTable is MulSlice's full-table path as a direct kernel.
-func mulSliceTable(dst, src []byte, c byte) {
-	row := &mulTable[c]
-	for i, v := range src {
-		dst[i] = row[v]
 	}
 }

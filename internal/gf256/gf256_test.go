@@ -163,9 +163,14 @@ func TestGeneratorIsPrimitive(t *testing.T) {
 
 var allStrategies = []Strategy{StrategyNaive, StrategyTable, StrategyBitPlane, StrategyAccel}
 
+// rowLengths are the row shapes the coding layer's traffic has: coefficient
+// vectors of 4-40 elements, 8-byte blocks behind them, 256 B and 1 KiB
+// payloads.
+var rowLengths = []int{4, 8, 16, 40, 48, 256, 1024}
+
 func TestMulSliceStrategiesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 100, 1024} {
+	for _, n := range append([]int{0, 1, 7, 9, 63, 64, 100}, rowLengths...) {
 		src := make([]byte, n)
 		rng.Read(src)
 		for c := 0; c < 256; c += 17 {
@@ -173,12 +178,10 @@ func TestMulSliceStrategiesAgree(t *testing.T) {
 			for i, v := range src {
 				want[i] = Mul(byte(c), v)
 			}
-			for _, s := range allStrategies {
-				dst := make([]byte, n)
-				MulSlice(s, dst, src, byte(c))
-				if !bytes.Equal(dst, want) {
-					t.Fatalf("MulSlice(%v, c=%d, n=%d) mismatch", s, c, n)
-				}
+			dst := make([]byte, n)
+			MulSlice(dst, src, byte(c))
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("MulSlice(c=%d, n=%d) mismatch", c, n)
 			}
 		}
 	}
@@ -186,7 +189,7 @@ func TestMulSliceStrategiesAgree(t *testing.T) {
 
 func TestMulAddSliceStrategiesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 5, 8, 16, 33, 257} {
+	for _, n := range append([]int{0, 1, 5, 33, 257}, rowLengths...) {
 		src := make([]byte, n)
 		base := make([]byte, n)
 		rng.Read(src)
@@ -197,8 +200,13 @@ func TestMulAddSliceStrategiesAgree(t *testing.T) {
 			for i, v := range src {
 				want[i] ^= Mul(byte(c), v)
 			}
+			dst := make([]byte, n)
+			copy(dst, base)
+			MulAdd(dst, src, byte(c))
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("MulAdd(c=%d, n=%d) mismatch", c, n)
+			}
 			for _, s := range allStrategies {
-				dst := make([]byte, n)
 				copy(dst, base)
 				MulAddSlice(s, dst, src, byte(c))
 				if !bytes.Equal(dst, want) {
@@ -212,49 +220,49 @@ func TestMulAddSliceStrategiesAgree(t *testing.T) {
 func TestMulSliceSpecialCoefficients(t *testing.T) {
 	src := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	dst := make([]byte, len(src))
-	MulSlice(StrategyAccel, dst, src, 0)
+	MulSlice(dst, src, 0)
 	for _, v := range dst {
 		if v != 0 {
 			t.Fatal("MulSlice by 0 must zero dst")
 		}
 	}
-	MulSlice(StrategyAccel, dst, src, 1)
+	MulSlice(dst, src, 1)
 	if !bytes.Equal(dst, src) {
 		t.Fatal("MulSlice by 1 must copy src")
 	}
 	// MulAdd by zero must be a no-op.
 	before := append([]byte(nil), dst...)
-	MulAddSlice(StrategyAccel, dst, src, 0)
+	MulAdd(dst, src, 0)
 	if !bytes.Equal(dst, before) {
-		t.Fatal("MulAddSlice by 0 must not modify dst")
+		t.Fatal("MulAdd by 0 must not modify dst")
 	}
 }
 
 func TestScaleSliceInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := make([]byte, 100)
-	rng.Read(s)
-	want := make([]byte, 100)
-	for i, v := range s {
-		want[i] = Mul(0xAB, v)
-	}
-	ScaleSlice(StrategyAccel, s, 0xAB)
-	if !bytes.Equal(s, want) {
-		t.Fatal("ScaleSlice mismatch")
+	for _, n := range append([]int{100}, rowLengths...) {
+		s := make([]byte, n)
+		rng.Read(s)
+		want := make([]byte, n)
+		for i, v := range s {
+			want[i] = Mul(0xAB, v)
+		}
+		Scale(s, 0xAB)
+		if !bytes.Equal(s, want) {
+			t.Fatalf("Scale(n=%d) mismatch", n)
+		}
 	}
 }
 
 func TestMulSliceAliasedInPlace(t *testing.T) {
-	for _, s := range allStrategies {
-		src := []byte{0, 1, 2, 3, 250, 251, 252, 253, 254, 255, 17}
-		want := make([]byte, len(src))
-		for i, v := range src {
-			want[i] = Mul(0x9D, v)
-		}
-		MulSlice(s, src, src, 0x9D)
-		if !bytes.Equal(src, want) {
-			t.Fatalf("in-place MulSlice(%v) mismatch", s)
-		}
+	src := []byte{0, 1, 2, 3, 250, 251, 252, 253, 254, 255, 17}
+	want := make([]byte, len(src))
+	for i, v := range src {
+		want[i] = Mul(0x9D, v)
+	}
+	MulSlice(src, src, 0x9D)
+	if !bytes.Equal(src, want) {
+		t.Fatal("in-place MulSlice mismatch")
 	}
 }
 
@@ -271,7 +279,8 @@ func TestDotProduct(t *testing.T) {
 }
 
 func TestLengthMismatchPanics(t *testing.T) {
-	assertPanics(t, "MulSlice", func() { MulSlice(StrategyTable, make([]byte, 2), make([]byte, 3), 5) })
+	assertPanics(t, "MulSlice", func() { MulSlice(make([]byte, 2), make([]byte, 3), 5) })
+	assertPanics(t, "MulAdd", func() { MulAdd(make([]byte, 2), make([]byte, 3), 5) })
 	assertPanics(t, "MulAddSlice", func() { MulAddSlice(StrategyTable, make([]byte, 2), make([]byte, 3), 5) })
 	assertPanics(t, "DotProduct", func() { DotProduct(make([]byte, 2), make([]byte, 3)) })
 }

@@ -57,7 +57,7 @@ type DriftStats struct {
 // on the new network, and the session continues. The epoch length is
 // Config.Duration/Epochs minus the re-initiation overhead.
 func RunWithDrift(net *topology.Network, src, dst int, build Builder, cfg Config, drift DriftConfig) (*DriftStats, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if drift.Epochs <= 0 {
 		drift.Epochs = 1
 	}

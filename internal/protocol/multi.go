@@ -74,7 +74,7 @@ func ValidateSessions(n int, sessions []Endpoints) error {
 // neighbourhood's capacity across sessions; MORE, oldMORE and ETX run their
 // usual uncoordinated disciplines per session.
 func RunMulti(net *topology.Network, sessions []Endpoints, proto Protocol, cfg Config) (*MultiStats, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

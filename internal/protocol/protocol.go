@@ -92,7 +92,10 @@ type Config struct {
 	TimeQuantum float64
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills the zero fields of a session configuration: the paper's
+// 40 x 1 KB generations, a 2e4 B/s channel, 60 emulated seconds. Every runner
+// applies it on entry — Run, RunMulti, RunWithDrift and routing.RunETX.
+func (c Config) WithDefaults() Config {
 	if c.Coding.GenerationSize == 0 && c.Coding.BlockSize == 0 {
 		c.Coding = coding.DefaultParams()
 	}
@@ -296,7 +299,7 @@ func NewMedium(net *topology.Network, sg *core.Subgraph) sim.Medium {
 // Run emulates one unicast session from src to dst under the policy built
 // by build, and returns its statistics.
 func Run(net *topology.Network, src, dst int, build Builder, cfg Config) (*Stats, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

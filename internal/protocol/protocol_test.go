@@ -5,7 +5,6 @@ import (
 
 	"omnc/internal/coding"
 	"omnc/internal/core"
-	"omnc/internal/gf256"
 	"omnc/internal/topology"
 	"omnc/internal/trace"
 )
@@ -27,7 +26,7 @@ func diamond(t *testing.T) *topology.Network {
 
 func fastConfig(seed int64) Config {
 	return Config{
-		Coding:        coding.Params{GenerationSize: 8, BlockSize: 16, Strategy: gf256.StrategyAccel},
+		Coding:        coding.Params{GenerationSize: 8, BlockSize: 16},
 		AirPacketSize: 8 + 1024, // air-time fidelity of the paper's packets
 		Capacity:      2e4,
 		Duration:      120,
@@ -238,7 +237,7 @@ func TestAckLatencyPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := ackLatency(sg, fastConfig(1).withDefaults())
+	lat := ackLatency(sg, fastConfig(1).WithDefaults())
 	if lat <= 0 {
 		t.Fatalf("ack latency = %v", lat)
 	}
@@ -307,11 +306,11 @@ func TestExpiredGenerationPacketsDiscarded(t *testing.T) {
 	// generation").
 	nw := diamond(t)
 	sg, _ := core.SelectNodes(nw, 0, 3)
-	pol, err := OMNC(core.Options{})(sg, fastConfig(50).withDefaults())
+	pol, err := OMNC(core.Options{})(sg, fastConfig(50).WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := newRuntime(nw, sg, pol, fastConfig(50).withDefaults())
+	rt, err := newRuntime(nw, sg, pol, fastConfig(50).WithDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +363,7 @@ func TestExcludedNodesNeverTransmit(t *testing.T) {
 	}
 	cfg := fastConfig(51)
 	cfg.Duration = 60
-	rtCfg := cfg.withDefaults()
+	rtCfg := cfg.WithDefaults()
 	pol, err := builder(sg, rtCfg)
 	if err != nil {
 		t.Fatal(err)

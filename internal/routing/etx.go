@@ -126,7 +126,7 @@ func ETXMulti() protocol.MultiBuilder {
 // model as the coded protocols so that throughput gains (Fig. 2) compare
 // like with like.
 func RunETX(net *topology.Network, src, dst int, cfg protocol.Config) (*protocol.Stats, error) {
-	cfg = applyDefaults(cfg)
+	cfg = cfg.WithDefaults()
 	sg, err := core.SelectNodes(net, src, dst)
 	if err != nil {
 		return nil, err
@@ -446,24 +446,6 @@ func (s *etxSession) Finish(until float64) *protocol.Stats {
 		st.Report = s.buildReport(st)
 	}
 	return st
-}
-
-// applyDefaults mirrors protocol.Config defaults for the ETX runtime, which
-// bypasses protocol.Run.
-func applyDefaults(cfg protocol.Config) protocol.Config {
-	if cfg.Coding.GenerationSize == 0 && cfg.Coding.BlockSize == 0 {
-		cfg.Coding = defaultCoding()
-	}
-	if cfg.AirPacketSize <= 0 {
-		cfg.AirPacketSize = cfg.Coding.PacketSize()
-	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 2e4
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 60
-	}
-	return cfg
 }
 
 // etxSource emits uncoded packets paced by the CBR workload.

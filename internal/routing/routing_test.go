@@ -7,7 +7,6 @@ import (
 
 	"omnc/internal/coding"
 	"omnc/internal/core"
-	"omnc/internal/gf256"
 	"omnc/internal/protocol"
 	"omnc/internal/topology"
 )
@@ -28,7 +27,7 @@ func diamond(t *testing.T) *topology.Network {
 
 func fastConfig(seed int64) protocol.Config {
 	return protocol.Config{
-		Coding:        coding.Params{GenerationSize: 8, BlockSize: 16, Strategy: gf256.StrategyAccel},
+		Coding:        coding.Params{GenerationSize: 8, BlockSize: 16},
 		AirPacketSize: 8 + 1024,
 		Capacity:      2e4,
 		Duration:      120,

@@ -12,7 +12,6 @@ package sessionbench
 import (
 	"omnc"
 	"omnc/internal/coding"
-	"omnc/internal/gf256"
 	"omnc/internal/protocol"
 	"omnc/internal/topology"
 )
@@ -208,7 +207,7 @@ func ScaledNetwork() (nw *topology.Network, sessions []omnc.Endpoints, err error
 // identical work.
 func ScaledConfig(engineWorkers int) protocol.Config {
 	return protocol.Config{
-		Coding:         coding.Params{GenerationSize: 32, BlockSize: 1024, Strategy: gf256.StrategyAccel},
+		Coding:         coding.Params{GenerationSize: 32, BlockSize: 1024},
 		AirPacketSize:  32 + 1024,
 		Capacity:       8e4,
 		Duration:       600,
@@ -249,7 +248,7 @@ func Network() (nw *topology.Network, src, dst int, err error) {
 // every benchmark iteration does identical coding work.
 func Config(seed int64) protocol.Config {
 	return protocol.Config{
-		Coding:         coding.Params{GenerationSize: 16, BlockSize: 256, Strategy: gf256.StrategyAccel},
+		Coding:         coding.Params{GenerationSize: 16, BlockSize: 256},
 		AirPacketSize:  16 + 1024,
 		Capacity:       2e4,
 		Duration:       600,

@@ -91,8 +91,7 @@ type (
 	// LPResult is the centralized sUnicast optimum.
 	LPResult = core.LPResult
 
-	// CodingParams fixes generation size, block size and the arithmetic
-	// kernel.
+	// CodingParams fixes generation size, block size and coefficient field.
 	CodingParams = coding.Params
 	// Scheme selects the coding strategy of a session: full-recoding RLNC
 	// (the default), end-to-end RLNC, or source-only Reed-Solomon.
