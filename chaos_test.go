@@ -204,6 +204,50 @@ func TestChaosRandomPlans(t *testing.T) {
 	}
 }
 
+// TestChaosDriftCrashFlapReplay is the replay check on a hand-written plan
+// that stacks the fault kinds on one another: a forwarder crashes inside a
+// drift's dead time and recovers after it, a flap opens on a drifted link and
+// closes after a second drift has moved the link again, and a burst rides the
+// twice-drifted qualities. Every protocol must terminate having decoded
+// something, tally each fault once, and replay bit-identically.
+func TestChaosDriftCrashFlapReplay(t *testing.T) {
+	cs := newChaosSession(t, 5)
+	victim := cs.nodes[0]
+	if victim == cs.dst {
+		victim = cs.nodes[1]
+	}
+	flap, burst := cs.links[0], cs.links[len(cs.links)-1]
+	plan := &omnc.FaultPlan{Seed: 77, Events: []omnc.FaultEvent{
+		driftEvent(1, 0.3, 1),
+		{At: 1.5, Kind: omnc.FaultNodeCrash, Node: victim},
+		{At: 3, Kind: omnc.FaultLinkFlap, From: flap[0], To: flap[1], Duration: 3},
+		{At: 3.5, Kind: omnc.FaultNodeRecover, Node: victim},
+		driftEvent(4, 0.4, 0.5),
+		{At: 6.5, Kind: omnc.FaultBurstLoss, From: burst[0], To: burst[1], Duration: 2, BadFactor: 0.1},
+	}}
+	for name, proto := range chaosProtocols() {
+		cfg := chaosConfig(11, plan)
+		cfg.Report = true
+		st, err := omnc.Run(cs.nw, cs.src, cs.dst, proto, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.GenerationsDecoded == 0 {
+			t.Errorf("%s: decoded nothing", name)
+		}
+		if f := st.Report.Faults; f.Drifts != 2 || f.Crashes != 1 || f.Recoveries != 1 || f.LinkFlaps != 1 || f.Bursts != 1 {
+			t.Errorf("%s: fault tally %+v", name, f)
+		}
+		again, err := omnc.Run(cs.nw, cs.src, cs.dst, proto, cfg)
+		if err != nil {
+			t.Fatalf("%s replay: %v", name, err)
+		}
+		if !reflect.DeepEqual(st, again) {
+			t.Errorf("%s: replay drifted:\n got %+v\nwant %+v", name, again, st)
+		}
+	}
+}
+
 // TestChaosFaultFreeBitIdentity pins the subsystem's zero-cost contract: a
 // nil plan and an installed-but-empty plan produce byte-identical statistics
 // for every protocol — installing the injector must not perturb a single RNG

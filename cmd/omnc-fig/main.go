@@ -65,7 +65,7 @@ func register(fs *flag.FlagSet) *flags {
 	fs.BoolVar(&s.Report, "report", false, "collect per-session observability reports and print per-figure totals")
 	cliflags.Pool(fs, s, true)
 	cliflags.Coding(fs, s,
-		"coding scheme for the comparison figures: rlnc, rlnc-e2e or rs (-fig schemes sweeps all three)",
+		"coding scheme: rlnc, rlnc-e2e or rs, for every figure but -fig schemes (which sweeps all three and rejects the flag)",
 		"source emission cap as a factor of the generation size (0 = rateless)")
 	return f
 }
@@ -239,8 +239,9 @@ func printReportTotals(c *experiments.Comparison) {
 	fmt.Println()
 }
 
-// driftFig prints the link-dynamics extension: OMNC throughput as per-epoch
-// link drift intensifies, re-initiating node selection and rates each epoch.
+// driftFig prints the link-dynamics extension: OMNC throughput as link
+// drift intensifies, each session re-solving its rates mid-run after every
+// drift's dead time.
 func driftFig(ctx context.Context, spec jobs.Spec, csvDir string) error {
 	r, err := runTicking(ctx, spec)
 	if err != nil {
@@ -248,7 +249,7 @@ func driftFig(ctx context.Context, spec jobs.Spec, csvDir string) error {
 	}
 	res := r.Drift
 	fmt.Println("Extension: OMNC throughput under link-quality drift")
-	fmt.Println("(3 epochs per session; node selection and rate control re-initiated each epoch; 5 s overhead charged)")
+	fmt.Println("(3 epochs per session; at each boundary the qualities drift, the session pays 5 s of dead time, then re-solves its rates)")
 	fmt.Printf("\n%-10s %s\n", "jitter", "throughput (bytes/s)")
 	for i, j := range res.Jitters {
 		fmt.Printf("%-10.2f %s\n", j, res.Throughput[i])

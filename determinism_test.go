@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"omnc"
@@ -13,7 +14,8 @@ import (
 // The differential determinism suite proves the parallel engine's central
 // contract: same seed -> bit-identical SessionStats, trace byte streams and
 // Reports at ANY engine worker count, for all four protocols, single- and
-// multi-session, with and without a fault plan. The serial engine
+// multi-session, fault-free, under crash churn, and under churn plus
+// link-quality drift. The serial engine
 // (EngineWorkers 0) is the reference; worker counts 1, 2 and 8 exercise the
 // parallel engine's round machinery single-threaded, lightly contended and
 // oversubscribed. Everything here must also pass under -race (CI runs it in
@@ -102,6 +104,21 @@ func detFaultPlan(t *testing.T, nw *omnc.Network, protect map[int]bool, seed int
 	return plan
 }
 
+// withDrifts returns plan plus two link-quality drifts, early enough to land
+// inside a three-generation run: the drift draws, the dead-time window and
+// the re-plan on drifted qualities must not depend on the engine either.
+func withDrifts(plan *omnc.FaultPlan) *omnc.FaultPlan {
+	out := &omnc.FaultPlan{Seed: plan.Seed, Events: append([]omnc.FaultEvent(nil), plan.Events...)}
+	out.Events = append(out.Events, driftEvent(0.3, 0.3, 0.2), driftEvent(1, 0.2, 0))
+	sort.SliceStable(out.Events, func(i, j int) bool { return out.Events[i].At < out.Events[j].At })
+	return out
+}
+
+// detVariants are the rows every protocol runs under, by subtest suffix.
+func detVariants(plan *omnc.FaultPlan) map[string]*omnc.FaultPlan {
+	return map[string]*omnc.FaultPlan{"fault-free": nil, "faulted": plan, "drifted": withDrifts(plan)}
+}
+
 func TestEngineDeterminismSingleSession(t *testing.T) {
 	nw, err := omnc.GenerateNetwork(40, 6, 5)
 	if err != nil {
@@ -120,12 +137,8 @@ func TestEngineDeterminismSingleSession(t *testing.T) {
 		run := func(nw *omnc.Network, src, dst int, cfg omnc.SessionConfig) (*omnc.SessionStats, error) {
 			return omnc.Run(nw, src, dst, proto, cfg)
 		}
-		for _, withFaults := range []bool{false, true} {
-			name, run, withFaults := name, run, withFaults
-			label := name + "/fault-free"
-			if withFaults {
-				label = name + "/faulted"
-			}
+		for variant, plan := range detVariants(plan) {
+			run, plan, label := run, plan, name+"/"+variant
 			t.Run(label, func(t *testing.T) {
 				t.Parallel()
 				var ref detRun
@@ -136,9 +149,7 @@ func TestEngineDeterminismSingleSession(t *testing.T) {
 					cfg.Report = true
 					cfg.MaxGenerations = 3
 					cfg.EngineWorkers = workers
-					if withFaults {
-						cfg.Faults = plan
-					}
+					cfg.Faults = plan
 					st, err := run(nw, eps.Src, eps.Dst, cfg)
 					got := detRun{stats: st, traceJSONL: traceBytes(t, buf), reportJSON: reportJSON(t, st)}
 					if err != nil {
@@ -169,12 +180,8 @@ func TestEngineDeterminismMultiSession(t *testing.T) {
 	plan := detFaultPlan(t, nw, protect, 7301)
 
 	for pname, proto := range chaosProtocols() {
-		for _, withFaults := range []bool{false, true} {
-			pname, proto, withFaults := pname, proto, withFaults
-			label := pname + "/fault-free"
-			if withFaults {
-				label = pname + "/faulted"
-			}
+		for variant, plan := range detVariants(plan) {
+			proto, plan, label := proto, plan, pname+"/"+variant
 			t.Run(label, func(t *testing.T) {
 				t.Parallel()
 				var ref detRun
@@ -184,9 +191,7 @@ func TestEngineDeterminismMultiSession(t *testing.T) {
 					cfg.Trace = buf
 					cfg.MaxGenerations = 3
 					cfg.EngineWorkers = workers
-					if withFaults {
-						cfg.Faults = plan
-					}
+					cfg.Faults = plan
 					ms, err := omnc.RunMulti(nw, sessions, proto, cfg)
 					got := detRun{multi: ms, traceJSONL: traceBytes(t, buf)}
 					if err != nil {

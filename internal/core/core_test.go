@@ -494,3 +494,76 @@ func TestPropertyRateControlPipelineInvariants(t *testing.T) {
 		t.Skip("no usable sessions")
 	}
 }
+
+// TestMaskedCutsCrashedNodesAndScalesLinks: the fault view of a selection. A
+// crashed node keeps its index but loses every link and its place in its
+// neighbours' interference sets; a link at factor 0 is dropped (its radios
+// still interfere); any other factor scales the link's probability; and the
+// receiver is never mutated.
+func TestMaskedCutsCrashedNodesAndScalesLinks(t *testing.T) {
+	sg, err := SelectNodes(diamond(t), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := make(map[int]int)
+	for i, nid := range sg.Nodes {
+		local[nid] = i
+	}
+	u, v := local[1], local[2]
+	prob := func(g *Subgraph, from, to int) float64 {
+		for _, li := range g.Out(from) {
+			if g.Links[li].To == to {
+				return g.Links[li].Prob
+			}
+		}
+		return 0
+	}
+
+	down := make([]bool, sg.Size())
+	down[u] = true
+	cut := sg.Masked(down, nil)
+	if cut.Size() != sg.Size() {
+		t.Fatal("node indices must stay stable")
+	}
+	if len(cut.Out(u))+len(cut.In(u))+len(cut.Neighbors(u)) != 0 {
+		t.Fatal("crashed node still has links or neighbours")
+	}
+	if prob(cut, sg.Src, u) != 0 || prob(cut, u, sg.Dst) != 0 {
+		t.Fatal("links of the crashed node survived")
+	}
+	if prob(cut, sg.Src, v) != 0.6 || prob(cut, v, sg.Dst) != 0.9 {
+		t.Fatal("surviving links removed or changed")
+	}
+	for _, n := range cut.Neighbors(sg.Src) {
+		if n == u {
+			t.Fatal("crashed node still contends in its neighbour's range")
+		}
+	}
+
+	scaled := sg.Masked(nil, func(i, j int) float64 {
+		switch {
+		case i == sg.Src && j == u:
+			return 0 // flapped
+		case i == sg.Src && j == v:
+			return 0.5 // drifted down
+		case i == v && j == sg.Dst:
+			return 2 // drifted up, past certainty: clamped
+		}
+		return 1
+	})
+	if prob(scaled, sg.Src, u) != 0 || len(scaled.Neighbors(sg.Src)) != len(sg.Neighbors(sg.Src)) {
+		t.Fatal("a factor-0 link must vanish from Links and stay in the interference sets")
+	}
+	if got := prob(scaled, sg.Src, v); got != 0.3 {
+		t.Fatalf("S->v scaled to %v, want 0.3", got)
+	}
+	if got := prob(scaled, v, sg.Dst); got != 1 {
+		t.Fatalf("v->T scaled to %v, want the clamp at 1", got)
+	}
+	if got := prob(scaled, u, sg.Dst); got != 0.7 {
+		t.Fatalf("u->T at factor 1 moved to %v", got)
+	}
+	if prob(sg, sg.Src, u) != 0.8 || prob(sg, sg.Src, v) != 0.6 {
+		t.Fatal("Masked mutated its receiver")
+	}
+}

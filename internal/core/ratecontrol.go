@@ -329,13 +329,9 @@ func recoveredGamma(sg *Subgraph, x []float64) float64 {
 	return g
 }
 
-// pathLinkIndices maps a node path to the indices of its links.
-func pathLinkIndices(sg *Subgraph, path []int) []int {
-	return pathLinkIndicesInto(sg, path, make([]int, 0, len(path)-1))
-}
-
-// pathLinkIndicesInto is pathLinkIndices appending into a caller-supplied
-// buffer (which must be empty) so hot loops can reuse storage.
+// pathLinkIndicesInto maps a node path to the indices of its links, appending
+// into a caller-supplied buffer (which must be empty) so hot loops can reuse
+// storage.
 func pathLinkIndicesInto(sg *Subgraph, path, idx []int) []int {
 	for h := 0; h+1 < len(path); h++ {
 		from, to := path[h], path[h+1]

@@ -173,20 +173,22 @@ func SelectNodes(net *topology.Network, src, dst int) (*Subgraph, error) {
 	return sg, nil
 }
 
-// Masked returns a view of the subgraph with crashed nodes and severed links
-// removed from the forwarding structure. down[i] marks local node i as
-// crashed; linkDown (may be nil) reports whether the undirected link between
-// two local nodes is inside a flap episode. Crashed nodes lose their
-// interference neighbourhood too — a dead radio neither forwards nor
-// contends — but flapped links keep interfering (the radios still transmit;
-// only delivery fails), so linkDown filters Links, not neighbors.
+// Masked returns a view of the subgraph under the current faults: crashed
+// nodes and severed links are removed from the forwarding structure and
+// drifted links carry their current quality. down[i] marks local node i as
+// crashed; linkFactor (may be nil) is the multiplier on the link between two
+// local nodes — 0 drops the link (a flap episode), anything else scales its
+// Prob (1 for an undisturbed link). Crashed nodes lose their interference
+// neighbourhood too — a dead radio neither forwards nor contends — but
+// flapped links keep interfering (the radios still transmit; only delivery
+// fails), so linkFactor filters Links, not neighbors.
 //
 // Nodes, Src, Dst and ETXDist are shared with the receiver (read-only by
 // convention); Links, neighbors, out and in are rebuilt. The mask never
 // re-runs node selection: the optimization re-solves over the surviving
 // structure of the original selection, which is exactly the information a
 // deployed session has mid-run.
-func (sg *Subgraph) Masked(down []bool, linkDown func(i, j int) bool) *Subgraph {
+func (sg *Subgraph) Masked(down []bool, linkFactor func(i, j int) float64) *Subgraph {
 	isDown := func(i int) bool { return down != nil && i < len(down) && down[i] }
 	out := &Subgraph{
 		Nodes:   sg.Nodes,
@@ -212,8 +214,12 @@ func (sg *Subgraph) Masked(down []bool, linkDown func(i, j int) bool) *Subgraph 
 		if isDown(l.From) || isDown(l.To) {
 			continue
 		}
-		if linkDown != nil && linkDown(l.From, l.To) {
-			continue
+		if linkFactor != nil {
+			f := linkFactor(l.From, l.To)
+			if f == 0 {
+				continue
+			}
+			l.Prob = math.Min(1, l.Prob*f)
 		}
 		idx := len(out.Links)
 		out.Links = append(out.Links, l)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"omnc/internal/faults"
 	"omnc/internal/metrics"
 	"omnc/internal/parallel"
 	"omnc/internal/protocol"
@@ -20,9 +21,11 @@ type DriftSweepConfig struct {
 	// Jitters are the per-epoch link-quality perturbation magnitudes to
 	// sweep (0 = static network).
 	Jitters []float64
-	// Epochs per session.
+	// Epochs per session: the qualities drift at each of the Epochs-1
+	// interior boundaries k*Duration/Epochs.
 	Epochs int
-	// ReinitOverhead is the seconds charged per re-initiation.
+	// ReinitOverhead is the dead time in seconds each re-initiation costs
+	// (link probing, selection flooding, rate-control convergence).
 	ReinitOverhead float64
 }
 
@@ -37,8 +40,10 @@ type DriftSweepResult struct {
 }
 
 // DriftSweep measures OMNC throughput across sessions as link-quality drift
-// intensifies, with node selection and rate control re-initiated each
-// epoch.
+// intensifies. Each session is one protocol.Run under a fault plan of drift
+// events: at every epoch boundary the link qualities are re-drawn, the
+// session falls silent for ReinitOverhead seconds, then re-solves its rates
+// over the forwarders it selected at start.
 func DriftSweep(cfg DriftSweepConfig) (*DriftSweepResult, error) {
 	base := cfg.Base.withDefaults()
 	if len(cfg.Jitters) == 0 {
@@ -71,17 +76,21 @@ func DriftSweep(cfg DriftSweepConfig) (*DriftSweepResult, error) {
 		ji, si := i/len(pairs), i%len(pairs)
 		p := pairs[si]
 		pcfg := base.SessionConfig(TrialSeed(base.Seed, si))
-		ds, err := protocol.RunWithDrift(nw, p.src, p.dst,
-			protocol.OMNC(base.RateOptions), pcfg, protocol.DriftConfig{
-				Epochs:         cfg.Epochs,
-				Jitter:         cfg.Jitters[ji],
-				ReinitOverhead: cfg.ReinitOverhead,
-				Seed:           seedmix.Derive(base.Seed, streamDriftTrial, int64(ji), int64(si)),
+		plan := &faults.Plan{Seed: seedmix.Derive(base.Seed, streamDriftTrial, int64(ji), int64(si))}
+		for k := 1; k < cfg.Epochs; k++ {
+			plan.Events = append(plan.Events, faults.Event{
+				At:       float64(k) * base.Duration / float64(cfg.Epochs),
+				Kind:     faults.QualityDrift,
+				Jitter:   cfg.Jitters[ji],
+				Duration: cfg.ReinitOverhead,
 			})
+		}
+		pcfg.Faults = plan
+		st, err := protocol.Run(nw, p.src, p.dst, protocol.OMNC(base.RateOptions), pcfg)
 		if err != nil {
 			return fmt.Errorf("experiments: drift session %d->%d: %w", p.src, p.dst, err)
 		}
-		tps[ji][si] = ds.Throughput
+		tps[ji][si] = st.Throughput
 		if base.Progress != nil {
 			base.Progress.Add(1)
 		}

@@ -411,17 +411,6 @@ func runSession(nw *topology.Network, sg *core.Subgraph, src, dst int, cfg Confi
 	return res, nil
 }
 
-// throughputs collects per-session throughputs of one protocol.
-func (c *Comparison) throughputs(name string) []float64 {
-	out := make([]float64, 0, len(c.Sessions))
-	for _, s := range c.Sessions {
-		if st, ok := s.ByProtocol[name]; ok {
-			out = append(out, st.Throughput)
-		}
-	}
-	return out
-}
-
 // GainCDFs returns Fig. 2's series: the CDF of throughput gain over ETX
 // routing for every coded protocol that was run. Gains are paired per
 // session — only sessions where both the coded protocol and the ETX

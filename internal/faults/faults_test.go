@@ -13,6 +13,8 @@ func TestValidateAcceptsWellFormedPlan(t *testing.T) {
 		{At: 2, Kind: BurstLoss, From: 2, To: 5, Duration: 4, BadFactor: 0.1},
 		{At: 6, Kind: NodeRecover, Node: 4},
 		{At: 7, Kind: LinkFlap, From: 2, To: 1, Duration: 1}, // first flap ended at 5
+		{At: 8, Kind: QualityDrift, Jitter: 0.3, Duration: 2},
+		{At: 9, Kind: QualityDrift}, // no jitter, no dead time: a bare re-plan
 	}}
 	if err := p.Validate(10); err != nil {
 		t.Fatal(err)
@@ -57,10 +59,17 @@ func TestValidateRejections(t *testing.T) {
 			{At: 1, Kind: LinkFlap, From: 1, To: 2, Duration: 5},
 			{At: 3, Kind: BurstLoss, From: 2, To: 1, Duration: 1}, // same unordered link
 		}},
-		"bad factor one":   {Events: []Event{{At: 1, Kind: BurstLoss, From: 1, To: 2, Duration: 1, BadFactor: 1}}},
-		"negative sojourn": {Events: []Event{{At: 1, Kind: BurstLoss, From: 1, To: 2, Duration: 1, MeanGood: -1}}},
-		"unknown kind":     {Events: []Event{{At: 1, Kind: "meteor", Node: 1}}},
-		"synthesized kind": {Events: []Event{{At: 1, Kind: LinkRestore, From: 1, To: 2, Duration: 1}}},
+		"bad factor one":        {Events: []Event{{At: 1, Kind: BurstLoss, From: 1, To: 2, Duration: 1, BadFactor: 1}}},
+		"negative sojourn":      {Events: []Event{{At: 1, Kind: BurstLoss, From: 1, To: 2, Duration: 1, MeanGood: -1}}},
+		"unknown kind":          {Events: []Event{{At: 1, Kind: "meteor", Node: 1}}},
+		"synthesized kind":      {Events: []Event{{At: 1, Kind: LinkRestore, From: 1, To: 2, Duration: 1}}},
+		"jitter one":            {Events: []Event{{At: 1, Kind: QualityDrift, Jitter: 1}}},
+		"negative jitter":       {Events: []Event{{At: 1, Kind: QualityDrift, Jitter: -0.1}}},
+		"nan jitter":            {Events: []Event{{At: 1, Kind: QualityDrift, Jitter: inf - inf}}},
+		"negative dead time":    {Events: []Event{{At: 1, Kind: QualityDrift, Jitter: 0.2, Duration: -1}}},
+		"infinite dead time":    {Events: []Event{{At: 1, Kind: QualityDrift, Jitter: 0.2, Duration: inf}}},
+		"nan dead time":         {Events: []Event{{At: 1, Kind: QualityDrift, Jitter: 0.2, Duration: inf - inf}}},
+		"synthesized drift-end": {Events: []Event{{At: 1, Kind: DriftEnd, Jitter: 0.2, Duration: 1}}},
 	}
 	for name, p := range cases {
 		err := p.Validate(5)
@@ -79,6 +88,7 @@ func TestDecodePlanRoundTrip(t *testing.T) {
 		{At: 1.5, Kind: NodeCrash, Node: 3},
 		{At: 2, Kind: BurstLoss, From: 1, To: 4, Duration: 2.5, BadFactor: 0.2, MeanGood: 0.4, MeanBad: 0.05},
 		{At: 9, Kind: NodeRecover, Node: 3},
+		{At: 9.5, Kind: QualityDrift, Jitter: 0.25, Duration: 1.5},
 	}}
 	data, err := p.Encode()
 	if err != nil {

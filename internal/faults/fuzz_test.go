@@ -16,6 +16,7 @@ func FuzzDecodeFaultPlan(f *testing.F) {
 		`{"seed": 7, "events": [{"at": 1, "kind": "crash", "node": 2}, {"at": 3, "kind": "recover", "node": 2}]}`,
 		`{"events": [{"at": 0, "kind": "flap", "from": 0, "to": 1, "dur": 2}]}`,
 		`{"events": [{"at": 0.5, "kind": "burst", "from": 3, "to": 4, "dur": 1, "bad_factor": 0.2, "mean_good": 0.4, "mean_bad": 0.1}]}`,
+		`{"seed": 3, "events": [{"at": 8, "kind": "drift", "jitter": 0.3, "dur": 1}, {"at": 9, "kind": "drift"}]}`,
 		// Malformed inputs the decoder must reject without panicking.
 		`{"events": [{"at": 5, "kind": "crash", "node": 1}, {"at": 4, "kind": "crash", "node": 2}]}`,
 		`{"events": [{"at": 1, "kind": "recover", "node": 9}]}`,
@@ -24,6 +25,9 @@ func FuzzDecodeFaultPlan(f *testing.F) {
 		`{"events": [{"at": -3, "kind": "crash", "node": 0}]}`,
 		`{"events": [{"at": 1, "kind": "burst", "from": 1, "to": 2, "dur": 1, "bad_factor": 2}]}`,
 		`{"events": [{"at": 1, "kind": "flap-end", "from": 1, "to": 2, "dur": 1}]}`,
+		`{"events": [{"at": 1, "kind": "drift", "jitter": 1}]}`,
+		`{"events": [{"at": 1, "kind": "drift", "jitter": 0.2, "dur": -1}]}`,
+		`{"events": [{"at": 1, "kind": "drift-end", "jitter": 0.2, "dur": 1}]}`,
 		`{"events"`,
 		`[]`,
 		`null`,

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -13,13 +14,20 @@ import (
 // Injector executes a validated Plan as first-class discrete events on a
 // sim.Engine, drives the MAC-level consequences (crashed nodes' ports
 // detach, flapped links stop delivering, bursty links run their
-// Gilbert–Elliott chain as a reception-probability overlay), and notifies
-// subscribers at every topology epoch so protocols can re-optimize
-// mid-session.
+// Gilbert–Elliott chain as a reception-probability overlay, drifted links
+// change quality), and notifies subscribers at every topology epoch so
+// protocols can re-optimize mid-session.
 //
-// An epoch is a change of the effective topology: a crash, a recovery, or a
-// link episode starting or ending. Intra-episode Gilbert–Elliott state flips
-// do not bump the epoch — they are channel noise, not topology.
+// An epoch is a change of the effective topology: a crash, a recovery, a
+// link episode starting or ending, or a quality drift and the end of its
+// dead time. Intra-episode Gilbert–Elliott state flips do not bump the
+// epoch — they are channel noise, not topology.
+//
+// The injector is the single owner of link state. The MAC sees, per directed
+// link, the drifted quality times the open episode's factor (written through
+// SetLinkFactor, so a flap or burst on a drifted link composes with the drift
+// instead of overwriting it); planners see LinkFactor, which is 0 inside a
+// flap and the quality multiplier otherwise.
 //
 // The injector addresses plan events by network node ID; mapNode translates
 // those to the engine's MAC addresses (the identity in a full-network
@@ -29,28 +37,37 @@ import (
 type Injector struct {
 	eng     sim.Engine
 	mac     *sim.MAC
+	net     *topology.Network // nominal link qualities
 	rec     trace.Recorder
 	mapNode func(int) (int, bool)
+	plan    *Plan
 	rng     *rand.Rand // Gilbert–Elliott sojourn draws
 
 	epoch    int
 	down     map[int]bool
-	linkOut  map[[2]int]bool
-	recovers map[int][]float64 // per node: scheduled recovery times, sorted
+	linkOut  map[[2]int]bool    // links inside a flap episode
+	burstBad map[[2]int]float64 // links in a burst's Bad state: the factor
+	drifted  *topology.Network  // current link qualities; nil until the first drift
+	drifts   int                // drift events executed
+	reinit   int                // open re-initiation windows (drift dead time)
+	recovers map[int][]float64  // per node: scheduled recovery times, sorted
 	subs     []func(Event)
 }
 
 // NewInjector schedules every event of the plan on the engine. The plan must
-// already be validated against the network; rec may be nil.
-func NewInjector(eng sim.Engine, mac *sim.MAC, plan *Plan, mapNode func(int) (int, bool), rec trace.Recorder) *Injector {
+// already be validated against net; rec may be nil.
+func NewInjector(eng sim.Engine, mac *sim.MAC, net *topology.Network, plan *Plan, mapNode func(int) (int, bool), rec trace.Recorder) *Injector {
 	inj := &Injector{
 		eng:      eng,
 		mac:      mac,
+		net:      net,
 		rec:      rec,
 		mapNode:  mapNode,
+		plan:     plan,
 		rng:      rand.New(rand.NewSource(seedmix.Derive(plan.Seed, streamGE))),
 		down:     make(map[int]bool),
 		linkOut:  make(map[[2]int]bool),
+		burstBad: make(map[[2]int]float64),
 		recovers: make(map[int][]float64),
 	}
 	for _, ev := range plan.Events {
@@ -83,9 +100,28 @@ func (inj *Injector) Epoch() int { return inj.epoch }
 // NodeDown reports whether the node is currently crashed.
 func (inj *Injector) NodeDown(node int) bool { return inj.down[node] }
 
-// LinkDown reports whether the undirected link (a, b) is inside a flap
-// episode. Burst episodes degrade a link but do not take it down.
-func (inj *Injector) LinkDown(a, b int) bool { return inj.linkOut[linkKey(a, b)] }
+// LinkFactor is the planning view of directed link (a, b): 0 while the link
+// is inside a flap episode, otherwise the ratio of its drifted to its nominal
+// reception probability (1 until the first drift). Burst episodes degrade a
+// link but are channel noise, not something to plan around.
+func (inj *Injector) LinkFactor(a, b int) float64 {
+	if inj.linkOut[linkKey(a, b)] {
+		return 0
+	}
+	return inj.quality(a, b)
+}
+
+// Reinitiating reports whether a drift's dead time is running: sessions stay
+// silent, whatever other epochs fire, until the last open window closes.
+func (inj *Injector) Reinitiating() bool { return inj.reinit > 0 }
+
+// quality is the drift multiplier of directed link (a, b).
+func (inj *Injector) quality(a, b int) float64 {
+	if inj.drifted == nil || !inj.net.InRange(a, b) {
+		return 1
+	}
+	return inj.drifted.Prob(a, b) / inj.net.Prob(a, b)
+}
 
 // WillRecover reports whether the plan schedules a recovery of node after
 // the current simulated time — the difference between a session stalling
@@ -101,40 +137,6 @@ func (inj *Injector) WillRecover(node int) bool {
 		i++
 	}
 	return false
-}
-
-// EffectiveNetwork returns base with the currently-crashed nodes and flapped
-// links removed — the topology a fresh route computation should see.
-func (inj *Injector) EffectiveNetwork(base *topology.Network) (*topology.Network, error) {
-	nw := base
-	if len(inj.down) > 0 {
-		failed := make([]int, 0, len(inj.down))
-		for v := range inj.down {
-			failed = append(failed, v)
-		}
-		sort.Ints(failed)
-		var err error
-		if nw, err = nw.WithoutNodes(failed...); err != nil {
-			return nil, err
-		}
-	}
-	if len(inj.linkOut) > 0 {
-		pairs := make([][2]int, 0, len(inj.linkOut))
-		for k := range inj.linkOut {
-			pairs = append(pairs, k)
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i][0] != pairs[j][0] {
-				return pairs[i][0] < pairs[j][0]
-			}
-			return pairs[i][1] < pairs[j][1]
-		})
-		var err error
-		if nw, err = nw.WithoutLinks(pairs...); err != nil {
-			return nil, err
-		}
-	}
-	return nw, nil
 }
 
 // emit records a fault event when tracing is enabled. Node carries the
@@ -180,20 +182,54 @@ func (inj *Injector) fire(ev Event) {
 		inj.notify(ev)
 	case LinkFlap:
 		inj.linkOut[linkKey(ev.From, ev.To)] = true
-		inj.setLinkFactor(ev.From, ev.To, 0)
+		inj.applyLink(ev.From, ev.To)
 		inj.emit(trace.EventLinkDown, ev.From, ev.To)
 		inj.notify(ev)
 		end := ev
 		end.Kind = LinkRestore
 		inj.eng.Schedule(ev.Duration, func() {
 			delete(inj.linkOut, linkKey(end.From, end.To))
-			inj.clearLinkFactor(end.From, end.To)
+			inj.applyLink(end.From, end.To)
 			inj.emit(trace.EventLinkUp, end.From, end.To)
 			inj.notify(end)
 		})
 	case BurstLoss:
 		inj.startBurst(ev)
+	case QualityDrift:
+		inj.drift(ev)
 	}
+}
+
+// drift re-draws every link's quality around its current value, opens the
+// re-initiation window and schedules the epoch that closes it.
+func (inj *Injector) drift(ev Event) {
+	current := inj.drifted
+	if current == nil {
+		current = inj.net
+	}
+	next, err := current.PerturbQuality(inj.plan.DriftSeed(inj.drifts), ev.Jitter)
+	if err != nil {
+		// Validate bounds the jitter; a failure here is a bug.
+		panic(fmt.Sprintf("faults: drift: %v", err))
+	}
+	inj.drifted = next
+	inj.drifts++
+	for a := 0; a < inj.net.Size(); a++ {
+		for _, b := range inj.net.Neighbors(a) {
+			if a < b {
+				inj.applyLink(a, b)
+			}
+		}
+	}
+	inj.reinit++
+	inj.emit(trace.EventDrift, -1, -1)
+	inj.notify(ev)
+	end := ev
+	end.Kind = DriftEnd
+	inj.eng.Schedule(ev.Duration, func() {
+		inj.reinit--
+		inj.notify(end)
+	})
 }
 
 // startBurst opens a Gilbert–Elliott episode: the link starts in the Bad
@@ -211,7 +247,16 @@ func (inj *Injector) startBurst(ev Event) {
 		meanBad = 0.1
 	}
 	until := inj.eng.Now() + ev.Duration
-	inj.setLinkFactor(ev.From, ev.To, factor)
+	key := linkKey(ev.From, ev.To)
+	setBad := func(bad bool) {
+		if bad {
+			inj.burstBad[key] = factor
+		} else {
+			delete(inj.burstBad, key)
+		}
+		inj.applyLink(ev.From, ev.To)
+	}
+	setBad(true)
 	inj.emit(trace.EventBurstStart, ev.From, ev.To)
 	inj.notify(ev)
 
@@ -220,18 +265,14 @@ func (inj *Injector) startBurst(ev Event) {
 	var flip func(bad bool)
 	flip = func(bad bool) {
 		if inj.eng.Now() >= until {
-			inj.clearLinkFactor(ev.From, ev.To)
+			setBad(false)
 			end := ev
 			end.Kind = BurstEnd
 			inj.emit(trace.EventBurstEnd, ev.From, ev.To)
 			inj.notify(end)
 			return
 		}
-		if bad {
-			inj.setLinkFactor(ev.From, ev.To, factor)
-		} else {
-			inj.clearLinkFactor(ev.From, ev.To)
-		}
+		setBad(bad)
 		mean := meanGood
 		if bad {
 			mean = meanBad
@@ -249,24 +290,27 @@ func (inj *Injector) startBurst(ev Event) {
 	inj.eng.Schedule(sojourn, func() { flip(false) })
 }
 
-// setLinkFactor applies a reception-probability multiplier to both
-// directions of the link, mapped onto the MAC's address space.
-func (inj *Injector) setLinkFactor(a, b int, factor float64) {
+// applyLink writes the link's current reception-probability multiplier —
+// drifted quality times the open episode's factor — to both directions on
+// the MAC, mapped onto its address space. A link with neither reverts to the
+// nominal PHY probability.
+func (inj *Injector) applyLink(a, b int) {
 	ma, okA := inj.mapNode(a)
 	mb, okB := inj.mapNode(b)
 	if !okA || !okB {
 		return
 	}
-	inj.mac.SetLinkFactor(ma, mb, factor)
-	inj.mac.SetLinkFactor(mb, ma, factor)
-}
-
-func (inj *Injector) clearLinkFactor(a, b int) {
-	ma, okA := inj.mapNode(a)
-	mb, okB := inj.mapNode(b)
-	if !okA || !okB {
+	key := linkKey(a, b)
+	episode := 1.0
+	if inj.linkOut[key] {
+		episode = 0
+	} else if f, bad := inj.burstBad[key]; bad {
+		episode = f
+	} else if inj.drifted == nil {
+		inj.mac.ClearLinkFactor(ma, mb)
+		inj.mac.ClearLinkFactor(mb, ma)
 		return
 	}
-	inj.mac.ClearLinkFactor(ma, mb)
-	inj.mac.ClearLinkFactor(mb, ma)
+	inj.mac.SetLinkFactor(ma, mb, inj.quality(a, b)*episode)
+	inj.mac.SetLinkFactor(mb, ma, inj.quality(b, a)*episode)
 }

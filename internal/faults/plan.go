@@ -1,16 +1,16 @@
 // Package faults is the deterministic fault-injection subsystem: a Plan is
 // an ordered set of timed fault events — node crashes and recoveries, link
-// flaps (hard outages), and bursty-loss episodes (a two-state
-// Gilbert–Elliott overlay on the Bernoulli PHY) — that an Injector executes
-// as first-class discrete events on a sim.Engine. The protocol layer
-// subscribes to the injector's topology epochs and re-optimizes mid-session:
-// OMNC re-runs its rate solve, MORE/oldMORE recompute credits, ETX
-// re-routes, and a session whose destination dies for good finishes with a
-// typed error instead of hanging.
+// flaps (hard outages), bursty-loss episodes (a two-state Gilbert–Elliott
+// overlay on the Bernoulli PHY) and network-wide link-quality drift — that
+// an Injector executes as first-class discrete events on a sim.Engine. The
+// protocol layer subscribes to the injector's topology epochs and
+// re-optimizes mid-session: OMNC re-runs its rate solve, MORE/oldMORE
+// recompute credits, ETX re-routes, and a session whose destination dies for
+// good finishes with a typed error instead of hanging.
 //
 // Everything is reproducible: a plan fires at fixed simulated times, and the
-// only randomness — Gilbert–Elliott sojourn times and RandomPlan sampling —
-// is seeded through internal/seedmix streams.
+// only randomness — Gilbert–Elliott sojourn times, drift draws and
+// RandomPlan sampling — is seeded through internal/seedmix streams.
 package faults
 
 import (
@@ -18,6 +18,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"omnc/internal/report"
+	"omnc/internal/seedmix"
 )
 
 // Kind classifies fault events.
@@ -41,6 +44,12 @@ const (
 	// reception probability is multiplied by BadFactor, with exponential
 	// sojourn times of mean MeanGood and MeanBad seconds.
 	BurstLoss Kind = "burst"
+	// QualityDrift re-draws every undirected link's reception probability
+	// around its current value (p·U[1−Jitter, 1+Jitter], clamped to
+	// [0.01, 1]; successive drifts compound) and silences every session for
+	// Duration seconds — the re-initiation dead time of the paper's Sec. 4 —
+	// after which each session re-plans on the new qualities.
+	QualityDrift Kind = "drift"
 )
 
 // Kinds synthesized by the Injector when an episode ends. They appear in
@@ -48,7 +57,26 @@ const (
 const (
 	LinkRestore Kind = "flap-end"
 	BurstEnd    Kind = "burst-end"
+	DriftEnd    Kind = "drift-end"
 )
+
+// Tally counts one event a live session processed into its report summary.
+// Synthesized end events re-solve rates but are not new faults, so only the
+// plan's own kinds count.
+func (k Kind) Tally(s *report.FaultSummary) {
+	switch k {
+	case NodeCrash:
+		s.Crashes++
+	case NodeRecover:
+		s.Recoveries++
+	case LinkFlap:
+		s.LinkFlaps++
+	case BurstLoss:
+		s.Bursts++
+	case QualityDrift:
+		s.Drifts++
+	}
+}
 
 // Event is one timed fault.
 type Event struct {
@@ -62,8 +90,12 @@ type Event struct {
 	// link is undirected (both directions are affected).
 	From int `json:"from,omitempty"`
 	To   int `json:"to,omitempty"`
-	// Duration is the episode length in seconds (flap and burst only).
+	// Duration is the episode length in seconds (flap and burst), or the
+	// re-initiation dead time of a drift (zero allowed there).
 	Duration float64 `json:"dur,omitempty"`
+	// Jitter is a drift's multiplicative perturbation magnitude, in [0, 1)
+	// (0.3 re-draws every link within ±30 % of its current quality).
+	Jitter float64 `json:"jitter,omitempty"`
 	// BadFactor multiplies the link's reception probability while a burst
 	// episode sits in the Bad state; 0 selects the default 0.05.
 	BadFactor float64 `json:"bad_factor,omitempty"`
@@ -76,11 +108,20 @@ type Event struct {
 // Plan is an ordered fault schedule. The zero value (no events) is valid and
 // injects nothing.
 type Plan struct {
-	// Seed drives the plan's only random process, the Gilbert–Elliott
-	// sojourn draws of burst episodes.
+	// Seed drives the plan's random processes — the Gilbert–Elliott sojourn
+	// draws of burst episodes and the per-link draws of drift events — each
+	// through its own derived stream.
 	Seed int64 `json:"seed,omitempty"`
 	// Events fire in order; times must be non-decreasing.
 	Events []Event `json:"events"`
+}
+
+// DriftSeed is the topology.PerturbQuality seed of the plan's k-th drift
+// event (counting from 0): drift k turns the current network nw into
+// nw.PerturbQuality(p.DriftSeed(k), jitter), which is how an analysis
+// reconstructs the link qualities a session ran on.
+func (p *Plan) DriftSeed(k int) int64 {
+	return seedmix.Derive(p.Seed, streamDrift, int64(k))
 }
 
 // ErrInvalidPlan matches any rejected fault plan: malformed JSON,
@@ -105,7 +146,7 @@ func linkKey(a, b int) [2]int {
 // crash/recover pairs are rejected); flap and burst episodes need a positive
 // finite Duration and may not overlap an earlier episode on the same
 // undirected link; Gilbert–Elliott parameters are finite, with BadFactor in
-// [0, 1).
+// [0, 1); a drift needs Jitter in [0, 1) and a finite non-negative Duration.
 func (p *Plan) Validate(nodes int) error {
 	if p == nil {
 		return nil
@@ -175,6 +216,13 @@ func (p *Plan) Validate(nodes int) error {
 				if ev.MeanBad < 0 || math.IsNaN(ev.MeanBad) || math.IsInf(ev.MeanBad, 0) {
 					return bad(i, "mean bad sojourn %v must be finite and non-negative", ev.MeanBad)
 				}
+			}
+		case QualityDrift:
+			if !(ev.Jitter >= 0 && ev.Jitter < 1) {
+				return bad(i, "drift jitter %v outside [0,1)", ev.Jitter)
+			}
+			if !(ev.Duration >= 0) || math.IsInf(ev.Duration, 0) {
+				return bad(i, "drift dead time %v must be finite and non-negative", ev.Duration)
 			}
 		default:
 			return bad(i, "unknown kind %q", ev.Kind)

@@ -15,7 +15,8 @@ const (
 	streamCrash int64 = iota + 1
 	streamFlap
 	streamBurst
-	streamGE // the Injector's Gilbert–Elliott sojourn stream
+	streamGE    // the Injector's Gilbert–Elliott sojourn stream
+	streamDrift // the Injector's per-link quality-drift draws
 )
 
 // RandomPlanConfig parameterizes RandomPlan. Rates are Poisson intensities

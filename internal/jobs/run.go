@@ -10,9 +10,9 @@ import (
 	"omnc"
 	"omnc/internal/coding"
 	"omnc/internal/core"
-	"omnc/internal/drift"
 	"omnc/internal/experiments"
 	"omnc/internal/graph"
+	"omnc/internal/loopback"
 	"omnc/internal/metrics"
 	"omnc/internal/parallel"
 	"omnc/internal/seedmix"
@@ -54,7 +54,7 @@ type Result struct {
 	Session    []*omnc.SessionStats          `json:"-"`
 	Subgraph   *omnc.Subgraph                `json:"-"`
 	Network    *omnc.Network                 `json:"-"`
-	Loopback   []*drift.Result               `json:"-"`
+	Loopback   []*loopback.Result            `json:"-"`
 }
 
 // Artifact returns the named artifact, or nil.
@@ -376,13 +376,13 @@ func runLoopback(s Spec, h *progressHandle) (*Result, error) {
 	rates[sg.Dst] = 0
 
 	trials := d.Trials
-	results := make([]*drift.Result, trials)
+	results := make([]*loopback.Result, trials)
 	err = parallel.ForEachCtx(h.ctx, trials, parallel.Workers(s.Workers), func(i int) error {
 		trialSeed := s.Seed
 		if trials > 1 {
 			trialSeed = seedmix.Derive(s.Seed, streamLoopbackTrial, int64(i))
 		}
-		r, err := drift.RunSession(nw, sg, drift.Config{
+		r, err := loopback.RunSession(nw, sg, loopback.Config{
 			Coding:     coding.Params{GenerationSize: d.GenerationSize, BlockSize: d.BlockSize, Field: d.field()},
 			Scheme:     d.scheme(),
 			Redundancy: d.Redundancy,

@@ -1,4 +1,4 @@
-// Package drift is a miniature of the paper's Drift emulation testbed
+// Package loopback is a miniature of the paper's Drift emulation testbed
 // (Sec. 5): protocol nodes run against *real* operating-system transport
 // (UDP sockets on the loopback interface, the stand-in for Drift's Gigabit
 // Ethernet), while the wireless PHY is a model — a channel-emulator process
@@ -10,7 +10,7 @@
 // coding stack, the wire format of internal/coding, and the rate-paced
 // forwarding discipline survive an actual network path. Scenarios are kept
 // small (seconds of wall time) so the test suite stays fast.
-package drift
+package loopback
 
 import (
 	"fmt"
@@ -74,7 +74,7 @@ func RunSession(net_ *topology.Network, sg *core.Subgraph, cfg Config) (*Result,
 		return nil, err
 	}
 	if len(cfg.Rates) != sg.Size() {
-		return nil, fmt.Errorf("drift: %d rates for %d nodes", len(cfg.Rates), sg.Size())
+		return nil, fmt.Errorf("loopback: %d rates for %d nodes", len(cfg.Rates), sg.Size())
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = time.Second
@@ -155,7 +155,7 @@ type emulator struct {
 func newEmulator(net_ *topology.Network, sg *core.Subgraph, seed int64) (*emulator, error) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
-		return nil, fmt.Errorf("drift: channel socket: %w", err)
+		return nil, fmt.Errorf("loopback: channel socket: %w", err)
 	}
 	return &emulator{
 		net:  net_,
@@ -212,11 +212,4 @@ func (em *emulator) run(stop <-chan struct{}) {
 			}
 		}
 	}
-}
-
-// counters returns the forwarding statistics safely.
-func (em *emulator) counters() (forwarded, dropped int64) {
-	em.mu.Lock()
-	defer em.mu.Unlock()
-	return em.forwarded, em.dropped
 }

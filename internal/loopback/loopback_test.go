@@ -1,4 +1,4 @@
-package drift
+package loopback
 
 import (
 	"testing"

@@ -1,4 +1,4 @@
-package drift
+package loopback
 
 import (
 	"fmt"
@@ -48,7 +48,7 @@ func generationData(cfg Config, gen int) []byte {
 func newEmuNode(local int, sg *core.Subgraph, em *emulator, cfg Config) (*emuNode, error) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
-		return nil, fmt.Errorf("drift: node %d socket: %w", local, err)
+		return nil, fmt.Errorf("loopback: node %d socket: %w", local, err)
 	}
 	n := &emuNode{
 		local: local,

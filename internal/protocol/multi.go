@@ -95,7 +95,7 @@ func RunMulti(net *topology.Network, sessions []Endpoints, proto Protocol, cfg C
 		return nil, err
 	}
 	// The shared medium addresses nodes by network ID — the identity mapping.
-	if err := env.InstallFaults(cfg.Faults, net.Size(), nil, cfg.Trace); err != nil {
+	if err := env.InstallFaults(cfg.Faults, net, nil, cfg.Trace); err != nil {
 		return nil, err
 	}
 	runs, err := proto.sessions(env, net, specs, cfg)

@@ -94,7 +94,7 @@ type Config struct {
 
 // WithDefaults fills the zero fields of a session configuration: the paper's
 // 40 x 1 KB generations, a 2e4 B/s channel, 60 emulated seconds. Every runner
-// applies it on entry — Run, RunMulti, RunWithDrift and routing.RunETX.
+// applies it on entry — Run, RunMulti and routing.RunETX.
 func (c Config) WithDefaults() Config {
 	if c.Coding.GenerationSize == 0 && c.Coding.BlockSize == 0 {
 		c.Coding = coding.DefaultParams()

@@ -19,15 +19,15 @@ var ErrDestinationDown = errors.New("protocol: destination down")
 // onFault is the coded runtime's topology-epoch subscriber: it absorbs the
 // node-level consequence of the event (crashed nodes lose their volatile
 // protocol state, recovered nodes rejoin the live generation empty), then
-// re-plans the session over the surviving subgraph — the mid-session
-// re-optimization the paper calls for when "link qualities change
-// significantly" (Sec. 4), applied to topology changes.
+// re-plans the session over the surviving subgraph at its current link
+// qualities — the mid-session re-optimization the paper calls for when "link
+// qualities change significantly" (Sec. 4), applied to every topology change.
 func (rt *runtime) onFault(ev faults.Event) {
 	if rt.done {
 		return
 	}
 	if rt.obs != nil {
-		rt.obs.observeFault(ev.Kind)
+		ev.Kind.Tally(&rt.obs.faults)
 	}
 	switch ev.Kind {
 	case faults.NodeCrash:
@@ -46,6 +46,12 @@ func (rt *runtime) onFault(ev faults.Event) {
 		if local, ok := rt.localOf[ev.Node]; ok {
 			rt.rejoin(rt.nodes[local])
 		}
+	}
+	if rt.env.Faults.Reinitiating() {
+		// A drift's dead time (link probing, re-flooding, rate convergence):
+		// the session is silent until the window's closing epoch re-plans.
+		rt.stall()
+		return
 	}
 	rt.replan()
 }
@@ -92,11 +98,7 @@ func (rt *runtime) rejoin(n *node) {
 // land on the MAC without disturbing in-flight frames.
 func (rt *runtime) replan() {
 	down := rt.downMask()
-	inj := rt.env.Faults
-	linkDown := func(i, j int) bool {
-		return inj.LinkDown(rt.sg.Nodes[i], rt.sg.Nodes[j])
-	}
-	masked := rt.sg.Masked(down, linkDown)
+	masked := rt.sg.Masked(down, rt.linkFactor)
 	rt.emit(trace.EventReplan, rt.sg.Src, -1)
 	if rt.obs != nil {
 		rt.obs.faults.Replans++
@@ -118,6 +120,12 @@ func (rt *runtime) replan() {
 		pol = p
 	}
 	rt.applyPolicy(pol, down)
+}
+
+// linkFactor is the injector's planning view of the link between two local
+// nodes: 0 inside a flap, the drifted-quality multiplier otherwise.
+func (rt *runtime) linkFactor(i, j int) float64 {
+	return rt.env.Faults.LinkFactor(rt.sg.Nodes[i], rt.sg.Nodes[j])
 }
 
 // downMask fills the runtime's replan scratch with the current down state of
@@ -176,7 +184,9 @@ func (rt *runtime) applyPolicy(pol *Policy, down []bool) {
 // their crash/rejoin effects. On controller failure the old rates stand.
 func jointReplan(env *Env, rts []*runtime, opts core.Options, utilization float64) func(faults.Event) {
 	return func(faults.Event) {
-		inj := env.Faults
+		if env.Faults.Reinitiating() {
+			return // every session is silent until the drift's window closes
+		}
 		type liveSession struct {
 			rt     *runtime
 			masked *core.Subgraph
@@ -188,10 +198,7 @@ func jointReplan(env *Env, rts []*runtime, opts core.Options, utilization float6
 				continue
 			}
 			down := rt.downMask()
-			linkDown := func(i, j int) bool {
-				return inj.LinkDown(rt.sg.Nodes[i], rt.sg.Nodes[j])
-			}
-			masked := rt.sg.Masked(down, linkDown)
+			masked := rt.sg.Masked(down, rt.linkFactor)
 			if _, _, ok := graph.ShortestPath(masked.ForwardGraph(nil), masked.Src, masked.Dst); !ok {
 				continue // the session's own handler has stalled it
 			}

@@ -1,9 +1,6 @@
 package protocol
 
-import (
-	"omnc/internal/faults"
-	"omnc/internal/report"
-)
+import "omnc/internal/report"
 
 // sessionObs is the coded runtime's report collector, allocated only when
 // Config.Report is set (nil otherwise, mirroring the MAC's measurement
@@ -23,22 +20,6 @@ func newSessionObs(n int) *sessionObs {
 		rx:      make([]int64, n),
 		innov:   make([]int64, n),
 		discard: make([]int64, n),
-	}
-}
-
-// observeFault tallies one topology event the live session processed.
-// Synthesized end events (flap/burst expiry) re-solve rates but are not new
-// faults, so only the episode starts count.
-func (o *sessionObs) observeFault(kind faults.Kind) {
-	switch kind {
-	case faults.NodeCrash:
-		o.faults.Crashes++
-	case faults.NodeRecover:
-		o.faults.Recoveries++
-	case faults.LinkFlap:
-		o.faults.LinkFlaps++
-	case faults.BurstLoss:
-		o.faults.Bursts++
 	}
 }
 

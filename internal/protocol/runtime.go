@@ -141,20 +141,10 @@ func newRuntime(net *topology.Network, sg *core.Subgraph, pol *Policy, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Faults != nil {
-		// The exclusive medium addresses nodes by subgraph-local index, so
-		// the injector maps the plan's network IDs through the selection.
-		localOf := make(map[int]int, sg.Size())
-		for local, nid := range sg.Nodes {
-			localOf[nid] = local
-		}
-		mapNode := func(id int) (int, bool) {
-			l, ok := localOf[id]
-			return l, ok
-		}
-		if err := env.InstallFaults(cfg.Faults, net.Size(), mapNode, cfg.Trace); err != nil {
-			return nil, err
-		}
+	// The exclusive medium addresses nodes by subgraph-local index, so the
+	// injector maps the plan's network IDs through the selection.
+	if err := env.InstallFaults(cfg.Faults, net, sg.Nodes, cfg.Trace); err != nil {
+		return nil, err
 	}
 	return attachRuntime(env, net, sg, pol, cfg, 0, false)
 }

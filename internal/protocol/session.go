@@ -59,26 +59,35 @@ func NewEnv(medium sim.Medium, cfg Config) (*Env, error) {
 	return &Env{Eng: eng, MAC: mac}, nil
 }
 
-// InstallFaults validates the fault plan against a network of n nodes and
-// arms an injector on the environment's engine. mapNode translates network
-// node IDs to MAC addresses (nil means identity — the full-network medium);
-// rec receives fault events when non-nil. A nil plan is a no-op, so callers
-// can pass Config.Faults through unconditionally. Must run before sessions
-// attach, so their constructors can observe Faults and subscribe.
-func (e *Env) InstallFaults(plan *faults.Plan, nodes int, mapNode func(int) (int, bool), rec trace.Recorder) error {
+// InstallFaults validates the fault plan against the network and arms an
+// injector on the environment's engine. local lists the network IDs behind
+// the medium's addresses when the medium is one session's subgraph
+// (Subgraph.Nodes); nil means the full-network medium, addressed by network
+// ID. rec receives fault events when non-nil. A nil plan is a no-op, so
+// callers can pass Config.Faults through unconditionally. Must run before
+// sessions attach, so their constructors can observe Faults and subscribe.
+func (e *Env) InstallFaults(plan *faults.Plan, net *topology.Network, local []int, rec trace.Recorder) error {
 	if plan == nil {
 		return nil
 	}
 	if e.Faults != nil {
 		return fmt.Errorf("protocol: fault plan already installed")
 	}
-	if err := plan.Validate(nodes); err != nil {
+	if err := plan.Validate(net.Size()); err != nil {
 		return err
 	}
-	if mapNode == nil {
-		mapNode = func(id int) (int, bool) { return id, true }
+	mapNode := func(id int) (int, bool) { return id, true }
+	if local != nil {
+		localOf := make(map[int]int, len(local))
+		for l, nid := range local {
+			localOf[nid] = l
+		}
+		mapNode = func(id int) (int, bool) {
+			l, ok := localOf[id]
+			return l, ok
+		}
 	}
-	e.Faults = faults.NewInjector(e.Eng, e.MAC, plan, mapNode, rec)
+	e.Faults = faults.NewInjector(e.Eng, e.MAC, net, plan, mapNode, rec)
 	return nil
 }
 

@@ -117,6 +117,7 @@ type FaultSummary struct {
 	Recoveries int `json:"recoveries"`
 	LinkFlaps  int `json:"link_flaps"`
 	Bursts     int `json:"bursts"`
+	Drifts     int `json:"drifts,omitempty"`
 	Replans    int `json:"replans"`
 }
 

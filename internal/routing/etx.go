@@ -135,19 +135,9 @@ func RunETX(net *topology.Network, src, dst int, cfg protocol.Config) (*protocol
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Faults != nil {
-		// The exclusive medium addresses nodes by subgraph-local index.
-		localOf := make(map[int]int, len(sg.Nodes))
-		for local, nid := range sg.Nodes {
-			localOf[nid] = local
-		}
-		mapNode := func(id int) (int, bool) {
-			l, ok := localOf[id]
-			return l, ok
-		}
-		if err := env.InstallFaults(cfg.Faults, net.Size(), mapNode, cfg.Trace); err != nil {
-			return nil, err
-		}
+	// The exclusive medium addresses nodes by subgraph-local index.
+	if err := env.InstallFaults(cfg.Faults, net, sg.Nodes, cfg.Trace); err != nil {
+		return nil, err
 	}
 	s, err := attachETX(env, sg, cfg, 0, false, src, dst)
 	if err != nil {
@@ -251,14 +241,15 @@ func (s *etxSession) attachPath() {
 
 // onFault is ETX's topology-epoch subscriber: a crashed relay loses its
 // store-and-forward buffer, a destination crash with no scheduled recovery
-// fails the session, and any connectivity change re-runs Dijkstra over the
-// surviving links.
+// fails the session, a quality drift silences the session for its dead time,
+// and any connectivity or quality change re-runs Dijkstra over the surviving
+// links at their current qualities.
 func (s *etxSession) onFault(ev faults.Event) {
 	if s.done {
 		return
 	}
 	if s.obs != nil {
-		s.obs.observeFault(ev.Kind)
+		ev.Kind.Tally(&s.obs.faults)
 	}
 	switch ev.Kind {
 	case faults.NodeCrash:
@@ -275,6 +266,10 @@ func (s *etxSession) onFault(ev faults.Event) {
 	case faults.BurstLoss, faults.BurstEnd:
 		return // degraded, not disconnected: the route stands, MAC retries cope
 	}
+	if s.env.Faults.Reinitiating() {
+		s.stalled = true // a drift's dead time: silent until its window closes
+		return
+	}
 	s.reroute()
 }
 
@@ -290,7 +285,7 @@ func (s *etxSession) fail(err error) {
 }
 
 // reroute re-runs the minimum-ETX path computation over the links that
-// survive the current faults. No surviving route stalls the session until a
+// survive the current faults, at their drifted qualities. No surviving route stalls the session until a
 // later epoch restores one; a new route drops the old relays' buffers (ETX
 // has no end-to-end recovery — per-hop MAC retries are its only reliability)
 // and wakes the hops that have work.
@@ -312,10 +307,11 @@ func (s *etxSession) reroute() {
 	g := graph.New(s.sg.Size())
 	for _, l := range s.sg.Links {
 		a, b := s.sg.Nodes[l.From], s.sg.Nodes[l.To]
-		if inj.NodeDown(a) || inj.NodeDown(b) || inj.LinkDown(a, b) {
+		f := inj.LinkFactor(a, b)
+		if inj.NodeDown(a) || inj.NodeDown(b) || f == 0 {
 			continue
 		}
-		g.AddEdge(l.From, l.To, 1/l.Prob)
+		g.AddEdge(l.From, l.To, 1/(l.Prob*f))
 	}
 	path, _, ok := graph.ShortestPath(g, s.sg.Src, s.sg.Dst)
 	if !ok {

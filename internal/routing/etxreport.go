@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"omnc/internal/faults"
 	"omnc/internal/protocol"
 	"omnc/internal/report"
 )
@@ -12,21 +11,6 @@ import (
 // section and the fault summary are shared with the coded protocols.
 type etxObs struct {
 	faults report.FaultSummary
-}
-
-// observeFault tallies one topology event the live session processed; only
-// episode starts count, matching the coded runtime's bookkeeping.
-func (o *etxObs) observeFault(kind faults.Kind) {
-	switch kind {
-	case faults.NodeCrash:
-		o.faults.Crashes++
-	case faults.NodeRecover:
-		o.faults.Recoveries++
-	case faults.LinkFlap:
-		o.faults.LinkFlaps++
-	case faults.BurstLoss:
-		o.faults.Bursts++
-	}
 }
 
 // buildReport assembles the ETX session's Report at Finish time.

@@ -39,87 +39,6 @@ func (nw *Network) PerturbQuality(seed int64, jitter float64) (*Network, error) 
 	return out, nil
 }
 
-// WithoutNodes returns a copy of the network in which the given nodes have
-// failed: all their links are removed (they remain as isolated positions so
-// node indices stay stable). Used for failure injection.
-func (nw *Network) WithoutNodes(failed ...int) (*Network, error) {
-	dead := make(map[int]bool, len(failed))
-	for _, v := range failed {
-		if v < 0 || v >= nw.Size() {
-			return nil, fmt.Errorf("topology: node %d out of range [0,%d)", v, nw.Size())
-		}
-		dead[v] = true
-	}
-	out := &Network{
-		phy:       nw.phy,
-		positions: append([]Point(nil), nw.positions...),
-		neighbors: make([][]int, nw.Size()),
-		prob:      make([][]float64, nw.Size()),
-	}
-	for i := 0; i < nw.Size(); i++ {
-		out.prob[i] = make([]float64, nw.Size())
-	}
-	for i := 0; i < nw.Size(); i++ {
-		if dead[i] {
-			continue
-		}
-		for _, j := range nw.neighbors[i] {
-			if dead[j] {
-				continue
-			}
-			out.neighbors[i] = append(out.neighbors[i], j)
-			out.prob[i][j] = nw.prob[i][j]
-		}
-	}
-	return out, nil
-}
-
-// WithoutLinks returns a copy of the network in which the given undirected
-// links have been severed: both directions are removed from the neighbour
-// lists and their reception probabilities zeroed. Pairs naming non-adjacent
-// nodes are accepted (the link is already absent). Used by the
-// fault-injection layer to compute the effective topology during link-flap
-// episodes.
-func (nw *Network) WithoutLinks(pairs ...[2]int) (*Network, error) {
-	cut := make(map[[2]int]bool, len(pairs))
-	for _, pr := range pairs {
-		a, b := pr[0], pr[1]
-		if a < 0 || a >= nw.Size() || b < 0 || b >= nw.Size() {
-			return nil, fmt.Errorf("topology: link (%d,%d) out of range [0,%d)", a, b, nw.Size())
-		}
-		if a == b {
-			return nil, fmt.Errorf("topology: link endpoints coincide (%d)", a)
-		}
-		if a > b {
-			a, b = b, a
-		}
-		cut[[2]int{a, b}] = true
-	}
-	out := &Network{
-		phy:       nw.phy,
-		positions: append([]Point(nil), nw.positions...),
-		neighbors: make([][]int, nw.Size()),
-		prob:      make([][]float64, nw.Size()),
-	}
-	for i := 0; i < nw.Size(); i++ {
-		out.prob[i] = make([]float64, nw.Size())
-	}
-	for i := 0; i < nw.Size(); i++ {
-		for _, j := range nw.neighbors[i] {
-			a, b := i, j
-			if a > b {
-				a, b = b, a
-			}
-			if cut[[2]int{a, b}] {
-				continue
-			}
-			out.neighbors[i] = append(out.neighbors[i], j)
-			out.prob[i][j] = nw.prob[i][j]
-		}
-	}
-	return out, nil
-}
-
 // clone deep-copies the network.
 func (nw *Network) clone() *Network {
 	out := &Network{

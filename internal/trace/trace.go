@@ -47,6 +47,9 @@ const (
 	// episode opened / closed on a link.
 	EventBurstStart EventType = "burststart"
 	EventBurstEnd   EventType = "burstend"
+	// EventDrift: every link's quality was re-drawn (a network-wide event:
+	// Node and From are both -1); sessions re-plan when its dead time ends.
+	EventDrift EventType = "drift"
 	// EventReplan: a session re-optimized (rates, credits, or route) in
 	// response to a topology epoch.
 	EventReplan EventType = "replan"

@@ -282,11 +282,6 @@ func Run(net *Network, src, dst int, proto Protocol, cfg SessionConfig) (*Sessio
 // Extension types (beyond the paper's single-unicast evaluation; see
 // DESIGN.md "Extensions").
 type (
-	// DriftConfig injects link-quality drift and node failures into a
-	// long-lived session (Sec. 4's re-initiation scenario).
-	DriftConfig = protocol.DriftConfig
-	// DriftStats aggregates a session under dynamics.
-	DriftStats = protocol.DriftStats
 	// Endpoints identifies one session of a multiple-unicast run.
 	Endpoints = protocol.Endpoints
 	// MultiStats aggregates a multiple-unicast emulation: per-session
@@ -297,14 +292,6 @@ type (
 	// MultiResult is the joint rate allocation.
 	MultiResult = core.MultiResult
 )
-
-// RunOMNCWithDrift emulates a long-lived OMNC session whose link qualities
-// drift (and whose forwarders optionally fail): node selection and rate
-// allocation re-initiate at every epoch, and the re-initiation overhead is
-// charged against throughput (Sec. 4).
-func RunOMNCWithDrift(net *Network, src, dst int, cfg SessionConfig, drift DriftConfig) (*DriftStats, error) {
-	return protocol.RunWithDrift(net, src, dst, protocol.OMNC(core.Options{}), cfg, drift)
-}
 
 // OptimizeRatesJointly allocates rates to several concurrent unicast
 // sessions sharing the channel: per-session SUB1/SUB2 with congestion
@@ -370,10 +357,10 @@ type (
 )
 
 // Fault injection types: attach a FaultPlan to SessionConfig.Faults to
-// schedule node crashes, link flaps and Gilbert-Elliott burst-loss episodes
-// against an emulated session. The protocols re-optimize at each topology
-// change; a session whose destination crashes for good fails with
-// ErrDestinationDown.
+// schedule node crashes, link flaps, Gilbert-Elliott burst-loss episodes and
+// network-wide link-quality drift (Sec. 4's re-initiation scenario) against
+// an emulated session. The protocols re-optimize at each topology change; a
+// session whose destination crashes for good fails with ErrDestinationDown.
 type (
 	// FaultPlan is an ordered schedule of fault events, JSON-encodable.
 	FaultPlan = faults.Plan
@@ -391,6 +378,9 @@ const (
 	FaultNodeRecover = faults.NodeRecover
 	FaultLinkFlap    = faults.LinkFlap
 	FaultBurstLoss   = faults.BurstLoss
+	// FaultQualityDrift re-draws every link's quality within ±Jitter and
+	// charges Duration seconds of re-initiation dead time.
+	FaultQualityDrift = faults.QualityDrift
 )
 
 // DecodeFaultPlan parses a JSON fault plan and validates it; failures wrap

@@ -144,16 +144,22 @@ func TestRunAllProtocols(t *testing.T) {
 	}
 }
 
-func TestRunOMNCWithDriftFacade(t *testing.T) {
+// TestDriftPlanFacade: link-quality drift through the facade is a FaultPlan
+// with a drift event handed to Run — no dedicated runner.
+func TestDriftPlanFacade(t *testing.T) {
 	nw := lossyDiamond(t)
 	cfg := fastSession(21)
 	cfg.Duration = 240
-	ds, err := RunOMNCWithDrift(nw, 0, 3, cfg, DriftConfig{Epochs: 2, Jitter: 0.2, Seed: 4})
+	cfg.Report = true
+	cfg.Faults = &FaultPlan{Seed: 4, Events: []FaultEvent{
+		{At: 120, Kind: FaultQualityDrift, Jitter: 0.2, Duration: 5},
+	}}
+	st, err := Run(nw, 0, 3, OMNC(RateOptions{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Throughput <= 0 || len(ds.PerEpoch) != 2 {
-		t.Fatalf("drift stats = %+v", ds)
+	if st.Throughput <= 0 || st.Report.Faults.Drifts != 1 || st.Report.Faults.Replans != 1 {
+		t.Fatalf("drift stats = %+v, faults = %+v", st, st.Report.Faults)
 	}
 }
 
