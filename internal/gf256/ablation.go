@@ -6,9 +6,9 @@ import (
 )
 
 // The ablation surface: the bulk kernels the production path was measured
-// against, selectable by Strategy so the benchmark's gf256.muladd_* rows,
-// BenchmarkMulAdd*1K and FuzzGFKernels can run them side by side. Only this
-// package and benchmark/ may name it; a CI grep holds every other package out.
+// against, selectable by Strategy so the benchmark's gf256.muladd_* rows and
+// FuzzGFKernels can run them side by side. Only this package and benchmark/
+// may name it; a CI grep holds every other package out.
 
 // Strategy names one bulk multiply-accumulate kernel for MulAddSlice.
 type Strategy int

@@ -15,9 +15,9 @@
 // the alternatives runnable side by side: the nibble ("accel") kernel, the
 // 64-bit bit-plane kernel, the full-table kernel again, and the paper's
 // per-byte log/exp baseline. Its users are the benchmark's gf256.muladd_*
-// ledger rows, BenchmarkMulAdd*1K and FuzzGFKernels, which cross-checks all
-// of them against a shift-and-reduce reference; nothing outside this package
-// and the benchmark may call it (CI greps for that).
+// ledger rows and FuzzGFKernels, which cross-checks all of them against a
+// shift-and-reduce reference; nothing outside this package and the
+// benchmark may call it (CI greps for that).
 //
 // All operations are safe for concurrent use; the tables are immutable after
 // package initialization.

@@ -307,23 +307,6 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
-func benchMulAdd(b *testing.B, s Strategy, n int) {
-	src := make([]byte, n)
-	dst := make([]byte, n)
-	rng := rand.New(rand.NewSource(4))
-	rng.Read(src)
-	b.SetBytes(int64(n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAddSlice(s, dst, src, 0xA7)
-	}
-}
-
-func BenchmarkMulAddNaive1K(b *testing.B)    { benchMulAdd(b, StrategyNaive, 1024) }
-func BenchmarkMulAddTable1K(b *testing.B)    { benchMulAdd(b, StrategyTable, 1024) }
-func BenchmarkMulAddBitPlane1K(b *testing.B) { benchMulAdd(b, StrategyBitPlane, 1024) }
-func BenchmarkMulAddAccel1K(b *testing.B)    { benchMulAdd(b, StrategyAccel, 1024) }
-
 func TestNibbleTables(t *testing.T) {
 	for c := 0; c < 256; c += 7 {
 		lo, hi := nibbleTables(byte(c))

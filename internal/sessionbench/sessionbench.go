@@ -1,12 +1,8 @@
-// Package sessionbench pins the session-benchmark scenarios shared by the
-// Benchmark(Multi)Session* benchmarks, TestSessionAllocCeilings and the
-// probes of ./benchmark, so all three measure exactly the same workload as
-//
-//	go test -bench='^BenchmarkSession' -benchmem
-//
-// Any change here shifts all of them at once; the allocation ceilings and
-// the recorded history in EXPERIMENTS.md stay comparable only as long as
-// this file does not change.
+// Package sessionbench pins the session workloads shared by
+// TestSessionAllocCeilings and the probes of ./benchmark (benchmark/probes.go),
+// so both measure exactly the same sessions. Any change here shifts both at
+// once; the allocation ceilings and the recorded history in EXPERIMENTS.md
+// stay comparable only as long as this file does not change.
 package sessionbench
 
 import (
@@ -19,8 +15,8 @@ import (
 // Scenario is one benchmarked session: a protocol with its fixed seed on
 // the strip network.
 type Scenario struct {
-	// Name is the stable benchmark identifier ("SessionOMNC", ...), also
-	// the Benchmark* suffix.
+	// Name is the stable row identifier ("SessionOMNC", ...) of
+	// TestSessionAllocCeilings.
 	Name string
 	// Seed feeds the session RNG; each protocol keeps its own so the
 	// recorded numbers are individually reproducible.
@@ -28,7 +24,7 @@ type Scenario struct {
 	Proto omnc.Protocol
 }
 
-// Scenarios lists the benchmarked protocols in recorded order.
+// Scenarios lists the measured protocols in recorded order.
 func Scenarios() []Scenario {
 	return []Scenario{
 		{Name: "SessionOMNC", Seed: 41, Proto: omnc.OMNC(omnc.RateOptions{})},
@@ -44,8 +40,8 @@ func Scenarios() []Scenario {
 // encoder and the verbatim ForwardBuffer replace the random encoder and the
 // Recoder on the hot path.
 type SchemeScenario struct {
-	// Name is the stable benchmark identifier ("SessionScheme/rs", ...),
-	// also the Benchmark* suffix.
+	// Name is the stable row identifier ("SessionScheme/rs", ...) of
+	// TestSessionAllocCeilings.
 	Name       string
 	Scheme     coding.Scheme
 	Redundancy float64
@@ -84,8 +80,8 @@ func (s SchemeScenario) Run(nw *topology.Network, src, dst int) (*protocol.Stats
 // workspaces — a wider field doubles coefficient traffic but must not add
 // per-packet allocations.
 type FieldScenario struct {
-	// Name is the stable benchmark identifier ("SessionField/16"), also
-	// the Benchmark* suffix.
+	// Name is the stable row identifier ("SessionField/16") of
+	// TestSessionAllocCeilings.
 	Name  string
 	Field coding.Field
 }
@@ -118,8 +114,8 @@ func (s FieldScenario) Run(nw *topology.Network, src, dst int) (*protocol.Stats,
 // MultiScenario is one benchmarked multi-unicast workload: two sessions of
 // one protocol contending on the shared engine over the strip network.
 type MultiScenario struct {
-	// Name is the stable benchmark identifier ("MultiSessionOMNC", ...),
-	// also the Benchmark* suffix.
+	// Name is the stable row identifier ("MultiSessionOMNC", ...) of
+	// TestSessionAllocCeilings.
 	Name string
 	// Seed feeds the shared engine and both sessions' derived RNG streams.
 	Seed  int64
@@ -144,34 +140,21 @@ func (s MultiScenario) Run(nw *topology.Network) (*protocol.MultiStats, error) {
 	return omnc.RunMulti(nw, s.Sessions, s.Proto, Config(s.Seed))
 }
 
-// ScaledMultiScenario is the parallel-engine scaling workload behind
-// BenchmarkMultiSessionScaled* and the benchmark's sim.parallel_speedup_w2: many
-// sessions contending on one shared engine with full-size 1 KB blocks, so
-// per-session decode work (which the parallel engine shards) dominates the
-// serial MAC bookkeeping. EngineWorkers picks the engine: 0 the serial
-// reference, N >= 1 the conservative parallel engine. The emulated results
-// are bit-identical for every EngineWorkers value — only wall-clock varies.
+// ScaledMultiScenario is the parallel-engine scaling workload behind the
+// benchmark's sim.parallel_speedup_w2: many sessions contending on one
+// shared engine with full-size 1 KB blocks, so per-session decode work
+// (which the parallel engine shards) dominates the serial MAC bookkeeping.
+// EngineWorkers picks the engine: 0 the serial reference, N >= 1 the
+// conservative parallel engine. The emulated results are bit-identical for
+// every EngineWorkers value — only wall-clock varies.
 type ScaledMultiScenario struct {
-	// Name is the stable benchmark identifier, also the Benchmark* suffix.
-	Name string
 	// EngineWorkers is protocol.Config EngineWorkers for every session.
 	EngineWorkers int
 }
 
 // scaledSeed keeps every ScaledMultiScenario on the same emulation, so the
-// serial and parallel entries time identical work.
+// serial and parallel engines time identical work.
 const scaledSeed = 61
-
-// ScaledMultiScenarios lists the scaling ladder:
-// the serial baseline, then the parallel engine at 2, 4 and 8 workers.
-func ScaledMultiScenarios() []ScaledMultiScenario {
-	return []ScaledMultiScenario{
-		{Name: "MultiSessionScaled/serial", EngineWorkers: 0},
-		{Name: "MultiSessionScaled/workers=2", EngineWorkers: 2},
-		{Name: "MultiSessionScaled/workers=4", EngineWorkers: 4},
-		{Name: "MultiSessionScaled/workers=8", EngineWorkers: 8},
-	}
-}
 
 // ScaledNetwork returns the scaling-benchmark topology: sixteen
 // radio-isolated copies of the Network() strip (stacked 200 m apart, beyond
