@@ -50,3 +50,53 @@ func TestNoRouteIsMatchable(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidConfigRejectedByEveryRunner: every protocol validates the
+// session configuration in both entry points — a degenerate generation
+// returns an error instead of panicking, and an out-of-range redundancy
+// matches ErrInvalidRedundancy.
+func TestInvalidConfigRejectedByEveryRunner(t *testing.T) {
+	nw, err := omnc.NetworkFromMatrix([][]float64{
+		{0, 0.8, 0.6, 0},
+		{0.8, 0, 0, 0.7},
+		{0.6, 0, 0, 0.9},
+		{0, 0.7, 0.9, 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := []struct {
+		name string
+		cfg  omnc.SessionConfig
+		is   error
+	}{
+		{"zero generation", omnc.SessionConfig{Coding: omnc.CodingParams{GenerationSize: 0, BlockSize: 16}, Duration: 1}, nil},
+		{"redundancy 0.5", omnc.SessionConfig{Redundancy: 0.5, Duration: 1}, omnc.ErrInvalidRedundancy},
+	}
+	runners := map[string]func(omnc.Protocol, omnc.SessionConfig) error{
+		"Run": func(p omnc.Protocol, cfg omnc.SessionConfig) error {
+			_, err := omnc.Run(nw, 0, 3, p, cfg)
+			return err
+		},
+		"RunMulti": func(p omnc.Protocol, cfg omnc.SessionConfig) error {
+			_, err := omnc.RunMulti(nw, []omnc.Endpoints{{Src: 0, Dst: 3}}, p, cfg)
+			return err
+		},
+	}
+	for _, c := range configs {
+		for pname, proto := range chaosProtocols() {
+			for rname, run := range runners {
+				c, proto, run := c, proto, run
+				t.Run(c.name+"/"+pname+"/"+rname, func(t *testing.T) {
+					err := run(proto, c.cfg)
+					if err == nil {
+						t.Fatal("invalid config accepted")
+					}
+					if c.is != nil && !errors.Is(err, c.is) {
+						t.Fatalf("error %v does not match %v", err, c.is)
+					}
+				})
+			}
+		}
+	}
+}

@@ -271,7 +271,7 @@ func Protocol(name string, opts core.Options) (protocol.Protocol, error) {
 	case ProtoOldMORE:
 		return protocol.NewProtocol("oldmore", routing.OldMORE()), nil
 	case ProtoETX:
-		return routing.ETXProtocol(), nil
+		return protocol.ETX(), nil
 	default:
 		return protocol.Protocol{}, fmt.Errorf("unknown protocol %q", name)
 	}

@@ -127,27 +127,3 @@ func RunMulti(net *topology.Network, sessions []Endpoints, proto Protocol, cfg C
 	out.JainFairness = metrics.JainIndex(rates)
 	return out, nil
 }
-
-// buildPolicySessions is the generic multi-session construction for
-// Builder-based protocols: one policy and one shared-mode coded runtime per
-// selected subgraph, with no cross-session coordination.
-func buildPolicySessions(env *Env, net *topology.Network, specs []SessionSpec, cfg Config, build Builder) ([]Session, error) {
-	out := make([]Session, len(specs))
-	for i, sp := range specs {
-		pol, err := build(sp.Subgraph, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: session %d: %w", sp.ID, err)
-		}
-		if len(pol.Caps) != sp.Subgraph.Size() || len(pol.Credit) != sp.Subgraph.Size() {
-			return nil, fmt.Errorf("protocol: policy %q sized for %d nodes, subgraph has %d",
-				pol.Name, len(pol.Caps), sp.Subgraph.Size())
-		}
-		rt, err := newSharedRuntime(env, net, sp.Subgraph, pol, cfg, uint32(sp.ID))
-		if err != nil {
-			return nil, err
-		}
-		rt.rebuild = build
-		out[i] = rt
-	}
-	return out, nil
-}

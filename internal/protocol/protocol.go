@@ -10,6 +10,7 @@
 package protocol
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -93,8 +94,8 @@ type Config struct {
 }
 
 // WithDefaults fills the zero fields of a session configuration: the paper's
-// 40 x 1 KB generations, a 2e4 B/s channel, 60 emulated seconds. Every runner
-// applies it on entry — Run, RunMulti and routing.RunETX.
+// 40 x 1 KB generations, a 2e4 B/s channel, 60 emulated seconds. Both
+// runners apply it on entry — Protocol.Run and RunMulti.
 func (c Config) WithDefaults() Config {
 	if c.Coding.GenerationSize == 0 && c.Coding.BlockSize == 0 {
 		c.Coding = coding.DefaultParams()
@@ -176,63 +177,92 @@ type Builder func(sg *core.Subgraph, cfg Config) (*Policy, error)
 // Protocol packages a forwarding discipline together with the runtime that
 // executes it, so every protocol — OMNC, the MORE/oldMORE baselines, uncoded
 // ETX routing — runs through one entry point. The zero value is invalid; use
-// NewProtocol or CustomProtocol.
+// NewProtocol or ETX.
 type Protocol struct {
-	name  string
-	build Builder
-	run   func(net *topology.Network, src, dst int, cfg Config) (*Stats, error)
-	multi MultiBuilder
+	name   string
+	attach func(env *Env, sp SessionSpec, cfg Config) (Session, error)
+	multi  MultiBuilder
 }
 
 // NewProtocol wraps a policy builder as a Protocol executed by the shared
 // coded runtime (node selection, generations, re-encoding forwarders,
 // progressive decoding).
 func NewProtocol(name string, build Builder) Protocol {
-	return Protocol{name: name, build: build}
-}
-
-// CustomProtocol wraps a bespoke session runner — a protocol whose data path
-// does not fit the coded runtime, like ETX store-and-forward — as a Protocol.
-func CustomProtocol(name string, run func(net *topology.Network, src, dst int, cfg Config) (*Stats, error)) Protocol {
-	return Protocol{name: name, run: run}
+	return Protocol{name: name, attach: func(env *Env, sp SessionSpec, cfg Config) (Session, error) {
+		return attachPolicy(env, sp, cfg, build)
+	}}
 }
 
 // Name returns the protocol's label.
 func (p Protocol) Name() string { return p.name }
 
 // WithMulti returns a copy of the protocol with a dedicated multi-session
-// constructor. RunMulti uses it instead of the generic per-subgraph policy
-// construction — OMNC installs its joint rate controller here, ETX its
-// store-and-forward sessions.
+// constructor. RunMulti uses it instead of attaching each session on its
+// own — OMNC installs its joint rate controller here.
 func (p Protocol) WithMulti(mb MultiBuilder) Protocol {
 	p.multi = mb
 	return p
 }
 
+var errZeroProtocol = errors.New("protocol: zero Protocol value; use NewProtocol or ETX")
+
 // sessions constructs the protocol's sessions of a multi-unicast run on the
 // shared Env.
 func (p Protocol) sessions(env *Env, net *topology.Network, specs []SessionSpec, cfg Config) ([]Session, error) {
-	switch {
-	case p.multi != nil:
+	if p.multi != nil {
 		return p.multi(env, net, specs, cfg)
-	case p.build != nil:
-		return buildPolicySessions(env, net, specs, cfg, p.build)
-	default:
-		return nil, fmt.Errorf("protocol: zero Protocol value; use NewProtocol or CustomProtocol")
 	}
+	if p.attach == nil {
+		return nil, errZeroProtocol
+	}
+	out := make([]Session, len(specs))
+	for i, sp := range specs {
+		s, err := p.attach(env, sp, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("protocol: session %d: %w", sp.ID, err)
+		}
+		out[i] = s
+	}
+	return out, nil
 }
 
 // Run emulates one unicast session from src to dst under the protocol and
-// returns its statistics.
+// returns its statistics. Every protocol runs the same way: the session
+// owns a private Env over its selected subgraph, so all four compare like
+// with like on one channel model.
 func (p Protocol) Run(net *topology.Network, src, dst int, cfg Config) (*Stats, error) {
-	switch {
-	case p.run != nil:
-		return p.run(net, src, dst, cfg)
-	case p.build != nil:
-		return Run(net, src, dst, p.build, cfg)
-	default:
-		return nil, fmt.Errorf("protocol: zero Protocol value; use NewProtocol or CustomProtocol")
+	if p.attach == nil {
+		return nil, errZeroProtocol
 	}
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	sg, err := core.SelectNodes(net, src, dst)
+	if err != nil {
+		return nil, err
+	}
+	env, err := NewEnv(&subgraphMedium{net: net, sg: sg}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	env.exclusive = true
+	// The exclusive medium addresses nodes by subgraph-local index, so the
+	// injector maps the plan's network IDs through the selection.
+	if err := env.InstallFaults(cfg.Faults, net, sg.Nodes, cfg.Trace); err != nil {
+		return nil, err
+	}
+	s, err := p.attach(env, SessionSpec{Src: src, Dst: dst, Subgraph: sg}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.Start()
+	env.Eng.Run(cfg.Duration)
+	st := s.Finish(cfg.Duration)
+	if err := s.Err(); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // Stats summarizes one emulated session.
@@ -251,11 +281,15 @@ type Stats struct {
 	// QueuePerNode is the time-averaged queue of every selected node.
 	QueuePerNode []float64
 	// NodeUtility is the fraction of selected forwarders (source included,
-	// destination excluded) that actually transmitted (Fig. 4).
+	// destination excluded) that sent at least one of the session's frames
+	// (Fig. 4): completed on the private MAC in exclusive placement, handed
+	// to the shared MAC by the session's port otherwise.
 	NodeUtility float64
 	// PathUtility is the fraction of available source-destination paths in
-	// the forwarder DAG whose links all carried at least one delivered
-	// packet (Fig. 4).
+	// the forwarder DAG whose links all delivered at least one of the
+	// session's frames (Fig. 4). One rule in both placements: a delivery
+	// counts where the receiving port first sees the frame, before it is
+	// judged stale, off-path or non-innovative.
 	PathUtility float64
 	// GenerationLatencies are the per-generation completion times in
 	// seconds (generation start to full decode at the destination) — the
@@ -289,9 +323,9 @@ func (m *subgraphMedium) Prob(i, j int) float64 {
 
 func (m *subgraphMedium) Neighbors(i int) []int { return m.sg.Neighbors(i) }
 
-// NewMedium exposes a selected subgraph as a sim.Medium in local indices;
-// the baselines' runtimes (internal/routing) share it so every protocol
-// sees identical channel conditions.
+// NewMedium exposes a selected subgraph as a sim.Medium in local indices —
+// the medium Protocol.Run gives each session — for measurements of the MAC
+// in isolation (the benchmark's probes are its only caller).
 func NewMedium(net *topology.Network, sg *core.Subgraph) sim.Medium {
 	return &subgraphMedium{net: net, sg: sg}
 }
@@ -299,30 +333,7 @@ func NewMedium(net *topology.Network, sg *core.Subgraph) sim.Medium {
 // Run emulates one unicast session from src to dst under the policy built
 // by build, and returns its statistics.
 func Run(net *topology.Network, src, dst int, build Builder, cfg Config) (*Stats, error) {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	sg, err := core.SelectNodes(net, src, dst)
-	if err != nil {
-		return nil, err
-	}
-	pol, err := build(sg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(pol.Caps) != sg.Size() || len(pol.Credit) != sg.Size() {
-		return nil, fmt.Errorf("protocol: policy %q sized for %d nodes, subgraph has %d",
-			pol.Name, len(pol.Caps), sg.Size())
-	}
-	rt, err := newRuntime(net, sg, pol, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The builder doubles as the re-optimizer: on every topology epoch the
-	// surviving subgraph is re-solved through it.
-	rt.rebuild = build
-	return rt.run()
+	return NewProtocol("", build).Run(net, src, dst, cfg)
 }
 
 // ackLatency estimates the uncoded ACK's best-path trip time: one reliable

@@ -299,6 +299,22 @@ func TestGenerationLatenciesReported(t *testing.T) {
 	}
 }
 
+// exclusiveRuntime attaches a coded runtime to a private Env over sg, the
+// placement Protocol.Run gives every session.
+func exclusiveRuntime(t *testing.T, nw *topology.Network, sg *core.Subgraph, pol *Policy, cfg Config) *runtime {
+	t.Helper()
+	env, err := NewEnv(&subgraphMedium{net: nw, sg: sg}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.exclusive = true
+	rt, err := attachRuntime(env, sg, pol, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
 func TestExpiredGenerationPacketsDiscarded(t *testing.T) {
 	// Packets from an expired generation must not perturb the current one:
 	// feed a stale packet straight into a node's Receive and check it is
@@ -310,10 +326,7 @@ func TestExpiredGenerationPacketsDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := newRuntime(nw, sg, pol, fastConfig(50).WithDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := exclusiveRuntime(t, nw, sg, pol, fastConfig(50).WithDefaults())
 	dst := rt.nodes[sg.Dst]
 	stale := &coding.Packet{
 		Generation: 99, // not the current generation
@@ -368,13 +381,10 @@ func TestExcludedNodesNeverTransmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := newRuntime(nw, sg, pol, rtCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.run(); err != nil {
-		t.Fatal(err)
-	}
+	rt := exclusiveRuntime(t, nw, sg, pol, rtCfg)
+	rt.Start()
+	rt.env.Eng.Run(rtCfg.Duration)
+	rt.Finish(rtCfg.Duration)
 	if rt.mac.FramesSent(excludedLocal) != 0 {
 		t.Fatalf("excluded node %d transmitted %d frames",
 			excludedLocal, rt.mac.FramesSent(excludedLocal))

@@ -1,86 +1,29 @@
 package protocol
 
 import (
-	"errors"
 	"fmt"
 
 	"omnc/internal/core"
 	"omnc/internal/faults"
 	"omnc/internal/graph"
-	"omnc/internal/trace"
 )
 
-// ErrDestinationDown matches a session whose destination crashed with no
-// recovery scheduled before the horizon: the session finishes immediately
-// with this typed error instead of idling through the remaining emulated
-// time. Match with errors.Is.
-var ErrDestinationDown = errors.New("protocol: destination down")
-
-// onFault is the coded runtime's topology-epoch subscriber: it absorbs the
-// node-level consequence of the event (crashed nodes lose their volatile
-// protocol state, recovered nodes rejoin the live generation empty), then
-// re-plans the session over the surviving subgraph at its current link
-// qualities — the mid-session re-optimization the paper calls for when "link
-// qualities change significantly" (Sec. 4), applied to every topology change.
-func (rt *runtime) onFault(ev faults.Event) {
-	if rt.done {
-		return
-	}
-	if rt.obs != nil {
-		ev.Kind.Tally(&rt.obs.faults)
-	}
-	switch ev.Kind {
-	case faults.NodeCrash:
-		local, ok := rt.localOf[ev.Node]
-		if !ok {
-			break // outside this session's subgraph: capacity may shift, rates re-solve below
-		}
-		n := rt.nodes[local]
-		if n.isDst && !rt.env.Faults.WillRecover(ev.Node) {
-			rt.fail(fmt.Errorf("%w: node %d crashed with no recovery before the horizon",
-				ErrDestinationDown, ev.Node))
-			return
-		}
-		n.crashReset()
-	case faults.NodeRecover:
-		if local, ok := rt.localOf[ev.Node]; ok {
-			rt.rejoin(rt.nodes[local])
-		}
-	}
-	if rt.env.Faults.Reinitiating() {
-		// A drift's dead time (link probing, re-flooding, rate convergence):
-		// the session is silent until the window's closing epoch re-plans.
-		rt.stall()
-		return
-	}
-	rt.replan()
-}
-
-// fail terminates the session abnormally with a typed cause.
-func (rt *runtime) fail(err error) {
-	if rt.done {
-		return
-	}
-	rt.done = true
-	rt.failure = err
-	rt.finishedAt = rt.eng.Now()
-	rt.env.SessionDone()
-}
-
-// crashReset models the node's power loss: credit, buffered packets and the
-// elimination state all vanish (the pooled resources return to the arena).
-// The MAC keeps the dead node off the channel; the state here just must not
-// survive into the recovery.
-func (n *node) crashReset() {
+// crash implements dataPlane: the node's power loss takes its credit,
+// buffered packets and elimination state with it (the pooled resources
+// return to the arena). The MAC keeps the dead node off the channel; the
+// state here just must not survive into the recovery.
+func (rt *runtime) crash(local int) {
+	n := rt.nodes[local]
 	n.credit = 0
 	n.shutdown()
 	n.enc = nil
 }
 
-// rejoin re-arms a recovered node for the live generation with empty state —
-// a rebooted forwarder has everything it needs in the role itself, since
-// coded traffic carries no per-packet obligations.
-func (rt *runtime) rejoin(n *node) {
+// rejoin implements dataPlane: a recovered node re-arms for the live
+// generation with empty state — a rebooted forwarder has everything it needs
+// in the role itself, since coded traffic carries no per-packet obligations.
+func (rt *runtime) rejoin(local int) {
+	n := rt.nodes[local]
 	if err := n.reset(rt.gen); err != nil {
 		// Coding parameters were validated up front; a failure here is a bug.
 		panic(fmt.Sprintf("protocol: rejoin: %v", err))
@@ -90,19 +33,16 @@ func (rt *runtime) rejoin(n *node) {
 	}
 }
 
-// replan recomputes the session's policy over the subgraph that survives the
-// current faults. If the destination is unreachable the session stalls (all
-// transmitters go quiet) until a later epoch restores a path; if the
-// protocol has a policy builder it re-solves — OMNC re-runs the Lagrangian
-// rate allocation, MORE/oldMORE recompute their credits — and the new caps
-// land on the MAC without disturbing in-flight frames.
+// replan implements dataPlane: it recomputes the session's policy over the
+// subgraph that survives the current faults. If the destination is
+// unreachable the session stalls (all transmitters go quiet) until a later
+// epoch restores a path; if the protocol has a policy builder it re-solves
+// — OMNC re-runs the Lagrangian rate allocation, MORE/oldMORE recompute
+// their credits — and the new caps land on the MAC without disturbing
+// in-flight frames.
 func (rt *runtime) replan() {
 	down := rt.downMask()
 	masked := rt.sg.Masked(down, rt.linkFactor)
-	rt.emit(trace.EventReplan, rt.sg.Src, -1)
-	if rt.obs != nil {
-		rt.obs.faults.Replans++
-	}
 	if _, _, ok := graph.ShortestPath(masked.ForwardGraph(nil), masked.Src, masked.Dst); !ok {
 		rt.stall()
 		return
@@ -145,7 +85,7 @@ func (rt *runtime) downMask() []bool {
 	return down
 }
 
-// stall silences every transmitter of the session until a later epoch
+// stall implements dataPlane: it silences every transmitter of the session until a later epoch
 // re-plans successfully. Received state is kept: a stall is an outage, not a
 // crash.
 func (rt *runtime) stall() {

@@ -27,8 +27,9 @@ type Env struct {
 	// re-optimize mid-run.
 	Faults *faults.Injector
 
-	attached int // sessions counted via AddSession
-	finished int // sessions retired via SessionDone
+	attached  int  // sessions counted via AddSession
+	finished  int  // sessions retired via SessionDone
+	exclusive bool // built by Protocol.Run over one session's subgraph medium
 }
 
 // NewEnv builds an environment over the medium with the MAC parameters of
@@ -113,10 +114,10 @@ func (e *Env) SessionDone() {
 	}
 }
 
-// Session is one unicast session attached to a shared Env. The coded
-// runtime (OMNC, MORE, oldMORE) and the ETX store-and-forward runtime both
-// implement it, which is what lets RunMulti emulate N contending sessions
-// of any protocol on one engine.
+// Session is one unicast session attached to an Env. The coded runtime
+// (OMNC, MORE, oldMORE) and the ETX store-and-forward runtime both implement
+// it, which is what lets Protocol.Run drive every protocol alike and RunMulti
+// emulate N contending sessions of any protocol on one engine.
 type Session interface {
 	// Start wakes the session's source; call after every session is
 	// attached, before driving the engine.

@@ -79,8 +79,11 @@ type NodeCounters struct {
 	MeanQueue      float64 `json:"mean_queue"`
 }
 
-// LinkDelivery is one cell of the per-link delivery matrix; links with zero
-// deliveries are omitted.
+// LinkDelivery is one cell of the per-link delivery matrix: how many of the
+// session's frames arrived over one subgraph link, counted where the
+// receiving port first sees each frame — before it is judged stale, off-path
+// or non-innovative — in shared and exclusive placement alike. It is the
+// count PathUtility reads. Links with zero deliveries are omitted.
 type LinkDelivery struct {
 	From      int   `json:"from"`
 	To        int   `json:"to"`

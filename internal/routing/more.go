@@ -1,10 +1,10 @@
-// Package routing implements the three baselines the paper evaluates OMNC
-// against (Sec. 5): MORE (SIGCOMM'07), its technical-report precursor
-// oldMORE built on the min-cost formulation of Lun et al., and traditional
-// best-path routing on the ETX metric. MORE and oldMORE reuse the coded
-// session runtime of internal/protocol — the paper likewise runs all coding
-// protocols on shared encoding/decoding modules — while ETX routing has its
-// own store-and-forward runtime.
+// Package routing implements the policy builders of the two coded baselines
+// the paper evaluates OMNC against (Sec. 5): MORE (SIGCOMM'07) and its
+// technical-report precursor oldMORE built on the min-cost formulation of
+// Lun et al. Both run on the coded session runtime of internal/protocol —
+// the paper likewise runs all coding protocols on shared encoding/decoding
+// modules. The third baseline, best-path routing on the ETX metric, is a
+// data plane of that runtime's session shell (protocol.ETX).
 package routing
 
 import (

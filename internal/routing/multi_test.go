@@ -1,10 +1,17 @@
 package routing
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
+	"omnc/internal/coding"
 	"omnc/internal/core"
+	"omnc/internal/faults"
 	"omnc/internal/protocol"
+	"omnc/internal/report"
+	"omnc/internal/sim"
 	"omnc/internal/topology"
 )
 
@@ -48,7 +55,7 @@ func TestRunMultiAllProtocols(t *testing.T) {
 			WithMulti(protocol.OMNCMulti(core.Options{})),
 		protocol.NewProtocol("more", MORE()),
 		protocol.NewProtocol("oldmore", OldMORE()),
-		ETXProtocol(),
+		protocol.ETX(),
 	}
 	for _, proto := range protos {
 		proto := proto
@@ -80,28 +87,117 @@ func TestRunMultiAllProtocols(t *testing.T) {
 	}
 }
 
-// TestRunMultiETXMatchesSolo: a single ETX session through RunMulti contends
-// with nobody, so its throughput must match the exclusive RunETX path on the
-// same subgraph and seed within the tolerance the different RNG placement
-// allows (shared mode binds components at network IDs, so loss draws differ;
-// the long-run rate does not).
-func TestRunMultiETXSingleSession(t *testing.T) {
-	nw := twoFlows(t)
-	cfg := fastConfig(32)
-	cfg.Duration = 400
-	cs, err := protocol.RunMulti(nw, []protocol.Endpoints{{Src: 0, Dst: 5}}, ETXProtocol(), cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestRunMatchesRunMultiOfOne: one session run exclusively (Run) and as the
+// only session of RunMulti sees the same channel and counts Fig. 4's
+// utilities by one rule, so every statistic and the report must agree —
+// except the queue figures, which shared placement leaves to the channel.
+// OMNC runs through its per-session builder here; under RunMulti the facade
+// OMNC uses the joint rate controller instead.
+func TestRunMatchesRunMultiOfOne(t *testing.T) {
+	protos := []protocol.Protocol{
+		protocol.NewProtocol("omnc", protocol.OMNC(core.Options{})),
+		protocol.NewProtocol("more", MORE()),
+		protocol.NewProtocol("oldmore", OldMORE()),
+		protocol.ETX(),
 	}
-	solo, err := RunETX(nw, 0, 5, cfg)
-	if err != nil {
-		t.Fatal(err)
+	for seed := int64(5); seed <= 8; seed++ {
+		nw, err := topology.Generate(topology.Config{Nodes: 40, Density: 6, PHY: topology.DefaultPHY(), Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := smallSession(t, nw)
+		var others []int
+		for n := 0; n < nw.Size(); n++ {
+			if n != ep.Src && n != ep.Dst {
+				others = append(others, n)
+			}
+		}
+		faulted, err := faults.RandomPlan(faults.RandomPlanConfig{Nodes: others, Horizon: 40, CrashRate: 0.1, MeanDowntime: 3, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drifted := &faults.Plan{Seed: faulted.Seed, Events: append([]faults.Event{
+			{At: 7, Kind: faults.QualityDrift, Jitter: 0.3, Duration: 0.5},
+			{At: 21, Kind: faults.QualityDrift, Jitter: 0.2},
+		}, faulted.Events...)}
+		sort.SliceStable(drifted.Events, func(i, j int) bool { return drifted.Events[i].At < drifted.Events[j].At })
+		plans := []struct {
+			name string
+			plan *faults.Plan
+		}{{"none", nil}, {"faulted", faulted}, {"drifted", drifted}}
+
+		for _, pl := range plans {
+			for _, mac := range []struct {
+				name string
+				mode sim.Mode
+			}{{"oracle", sim.ModeOracle}, {"csma", sim.ModeCSMA}} {
+				for _, proto := range protos {
+					cfg := protocol.Config{
+						Coding:        coding.Params{GenerationSize: 8, BlockSize: 4},
+						AirPacketSize: 8 + 1024,
+						Capacity:      2e4,
+						Duration:      60,
+						Seed:          seed,
+						MAC:           mac.mode,
+						Faults:        pl.plan,
+						Report:        true,
+					}
+					name := fmt.Sprintf("seed%d/%s/%s/%s", seed, pl.name, mac.name, proto.Name())
+					t.Run(name, func(t *testing.T) {
+						solo, soloErr := proto.Run(nw, ep.Src, ep.Dst, cfg)
+						ms, err := protocol.RunMulti(nw, []protocol.Endpoints{ep}, proto, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if soloErr != nil {
+							if ms.SessionErrors == nil || ms.SessionErrors[0].Error() != soloErr.Error() {
+								t.Fatalf("Run failed with %v, RunMulti session errors %v", soloErr, ms.SessionErrors)
+							}
+							return
+						}
+						want, got := *solo, *ms.PerSession[0]
+						wantRep, gotRep := withoutQueues(want.Report), withoutQueues(got.Report)
+						want.MeanQueue, want.QueuePerNode, want.Report = 0, nil, nil
+						got.Report = nil
+						if !reflect.DeepEqual(want, got) {
+							t.Errorf("stats differ:\n   Run: %+v\nRunMulti: %+v", want, got)
+						}
+						if !reflect.DeepEqual(wantRep, gotRep) {
+							t.Errorf("reports differ:\n   Run: %+v\nRunMulti: %+v", wantRep, gotRep)
+						}
+					})
+				}
+			}
+		}
 	}
-	multi := cs.PerSession[0].Throughput
-	if multi <= 0 || solo.Throughput <= 0 {
-		t.Fatalf("throughputs multi=%v solo=%v", multi, solo.Throughput)
+}
+
+// smallSession picks the first endpoint pair whose forwarder subgraph has 4
+// to 10 nodes: multipath, yet quick to emulate.
+func smallSession(t *testing.T, nw *topology.Network) protocol.Endpoints {
+	t.Helper()
+	for src := 0; src < nw.Size(); src++ {
+		for dst := 0; dst < nw.Size(); dst++ {
+			if dst == src {
+				continue
+			}
+			if sg, err := core.SelectNodes(nw, src, dst); err == nil && sg.Size() >= 4 && sg.Size() <= 10 {
+				return protocol.Endpoints{Src: src, Dst: dst}
+			}
+		}
 	}
-	if multi < 0.8*solo.Throughput || multi > 1.2*solo.Throughput {
-		t.Fatalf("lone multi session (%v) far from exclusive run (%v)", multi, solo.Throughput)
+	t.Fatal("no suitable session in the deployment")
+	return protocol.Endpoints{}
+}
+
+// withoutQueues copies a report with its queue parts cleared: shared
+// placement has no per-session queue.
+func withoutQueues(r *report.Report) report.Report {
+	out := *r
+	out.QueueLength = nil
+	out.Nodes = append([]report.NodeCounters(nil), r.Nodes...)
+	for i := range out.Nodes {
+		out.Nodes[i].MeanQueue = 0
 	}
+	return out
 }

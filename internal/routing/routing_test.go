@@ -222,7 +222,7 @@ func TestETXChainThroughput(t *testing.T) {
 	}
 	cfg := fastConfig(23)
 	cfg.Duration = 400
-	st, err := RunETX(nw, 0, 2, cfg)
+	st, err := protocol.ETX().Run(nw, 0, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestETXChainThroughput(t *testing.T) {
 }
 
 func TestETXDiamondUsesSinglePath(t *testing.T) {
-	st, err := RunETX(diamond(t), 0, 3, fastConfig(24))
+	st, err := protocol.ETX().Run(diamond(t), 0, 3, fastConfig(24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestETXDiamondUsesSinglePath(t *testing.T) {
 func TestETXMaxGenerationsStops(t *testing.T) {
 	cfg := fastConfig(25)
 	cfg.MaxGenerations = 1
-	st, err := RunETX(diamond(t), 0, 3, cfg)
+	st, err := protocol.ETX().Run(diamond(t), 0, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestETXRespectsCBR(t *testing.T) {
 	cfg := fastConfig(26)
 	cfg.CBRRate = 500
 	cfg.Duration = 300
-	st, err := RunETX(diamond(t), 0, 3, cfg)
+	st, err := protocol.ETX().Run(diamond(t), 0, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestProtocolOrdering(t *testing.T) {
 	cfg.Coding.GenerationSize = 16 // amortize per-generation ramp-up
 	cfg.AirPacketSize = 16 + 1024
 
-	etx, err := RunETX(nw, 0, 3, cfg)
+	etx, err := protocol.ETX().Run(nw, 0, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,7 +269,7 @@ func OldMORE() Protocol {
 // retransmissions — the paper's throughput-gain baseline. No coding, no
 // multipath.
 func ETX() Protocol {
-	return routing.ETXProtocol()
+	return protocol.ETX()
 }
 
 // Run emulates one unicast session from src to dst under the given protocol
