@@ -240,8 +240,7 @@ func TestRateControllerConvergesOnDiamond(t *testing.T) {
 		t.Fatal(err)
 	}
 	const capacity = 1e5
-	rc := NewRateController(sg, Options{Capacity: capacity, MaxIterations: 2000})
-	res, err := rc.Run()
+	res, err := rateControl1(sg, Options{Capacity: capacity, MaxIterations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +265,7 @@ func TestRateControllerConvergesOnDiamond(t *testing.T) {
 
 func TestRateControllerTrace(t *testing.T) {
 	sg, _ := SelectNodes(diamond(t), 0, 3)
-	rc := NewRateController(sg, Options{Capacity: 1e5, MaxIterations: 50, RecordTrace: true})
-	res, err := rc.Run()
+	res, err := rateControl1(sg, Options{Capacity: 1e5, MaxIterations: 50, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +284,7 @@ func TestRateControllerTrace(t *testing.T) {
 
 func TestRateControllerNoTraceByDefault(t *testing.T) {
 	sg, _ := SelectNodes(diamond(t), 0, 3)
-	res, err := NewRateController(sg, Options{MaxIterations: 30}).Run()
+	res, err := rateControl1(sg, Options{MaxIterations: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +293,20 @@ func TestRateControllerNoTraceByDefault(t *testing.T) {
 	}
 }
 
+// rateControl1 runs the rate controller on one session: Table 1 itself.
+func rateControl1(sg *Subgraph, opts Options) (*Result, error) {
+	joint, err := RateControl([]*Subgraph{sg}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return joint.PerSession[0], nil
+}
+
 func TestRateControllerEmptySubgraph(t *testing.T) {
-	sg := &Subgraph{Nodes: []int{0, 1}, Dst: 1}
-	if _, err := NewRateController(sg, Options{}).Run(); err == nil {
-		t.Fatal("linkless subgraph must fail")
+	for _, sg := range []*Subgraph{nil, {}, {Nodes: []int{0, 1}, Dst: 1}} {
+		if _, err := rateControl1(sg, Options{}); err == nil {
+			t.Fatalf("linkless subgraph %+v must fail", sg)
+		}
 	}
 }
 
@@ -318,7 +326,7 @@ func TestRateControllerMatchesLPOnRandomSessions(t *testing.T) {
 		if err != nil || lpRes.Gamma < 1 {
 			continue
 		}
-		res, err := NewRateController(sg, Options{Capacity: capacity, MaxIterations: 3000}).Run()
+		res, err := rateControl1(sg, Options{Capacity: capacity, MaxIterations: 3000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,7 +466,7 @@ func TestPropertyRateControlPipelineInvariants(t *testing.T) {
 		if err != nil || sg.Size() < 4 {
 			continue
 		}
-		res, err := NewRateController(sg, Options{Capacity: capacity}).Run()
+		res, err := rateControl1(sg, Options{Capacity: capacity})
 		if err != nil {
 			t.Fatal(err)
 		}

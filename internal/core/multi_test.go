@@ -36,34 +36,50 @@ func twoCorridors(t *testing.T) *topology.Network {
 }
 
 func TestMultiRateControllerValidation(t *testing.T) {
-	if _, err := NewMultiRateController(nil, Options{}); err == nil {
+	if _, err := RateControl(nil, Options{}); err == nil {
 		t.Fatal("no sessions must fail")
 	}
-	if _, err := NewMultiRateController([]MultiSession{{Subgraph: &Subgraph{}}}, Options{}); err == nil {
+	if _, err := RateControl([]*Subgraph{{}}, Options{}); err == nil {
 		t.Fatal("linkless subgraph must fail")
+	}
+	sg, err := SelectNodes(twoCorridors(t), 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RateControl([]*Subgraph{sg, {}}, Options{}); err == nil {
+		t.Fatal("a linkless second session must fail")
 	}
 }
 
+// TestMultiRateControllerSingleSessionMatchesSolo runs a session jointly
+// beside a second one that shares none of its nodes: with no shared
+// congestion price the joint solve must leave the first session at its solo
+// rate, up to the stopping rule's slack.
 func TestMultiRateControllerSingleSessionMatchesSolo(t *testing.T) {
-	nw := twoCorridors(t)
+	nw := disjointCorridors(t)
 	sg, err := SelectNodes(nw, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	far, err := SelectNodes(nw, 7, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range far.Nodes {
+		if id < 7 {
+			t.Fatalf("far session reaches node %d of the near corridor", id)
+		}
+	}
 	opts := Options{Capacity: 2e4, MaxIterations: 2000}
-	solo, err := NewRateController(sg, opts).Run()
+	solo, err := rateControl1(sg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := NewMultiRateController([]MultiSession{{Subgraph: sg}}, opts)
+	joint, err := RateControl([]*Subgraph{sg, far}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joint, err := mc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(joint.PerSession) != 1 {
+	if len(joint.PerSession) != 2 {
 		t.Fatalf("sessions = %d", len(joint.PerSession))
 	}
 	ratio := joint.PerSession[0].Gamma / solo.Gamma
@@ -73,7 +89,30 @@ func TestMultiRateControllerSingleSessionMatchesSolo(t *testing.T) {
 	}
 }
 
-func TestMultiRateControllerSharesCapacity(t *testing.T) {
+// disjointCorridors is two unconnected copies of twoCorridors: nodes 0-6 and
+// 7-13.
+func disjointCorridors(t *testing.T) *topology.Network {
+	t.Helper()
+	one := twoCorridors(t)
+	n := one.Size()
+	p := make([][]float64, 2*n)
+	for i := range p {
+		p[i] = make([]float64, 2*n)
+	}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			p[a][b] = one.Prob(a, b)
+			p[a+n][b+n] = one.Prob(a, b)
+		}
+	}
+	nw, err := topology.NewExplicit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw
+}
+
+func TestRateControlSharesCapacity(t *testing.T) {
 	nw := twoCorridors(t)
 	sg1, err := SelectNodes(nw, 0, 5)
 	if err != nil {
@@ -85,20 +124,16 @@ func TestMultiRateControllerSharesCapacity(t *testing.T) {
 	}
 	opts := Options{Capacity: 2e4, MaxIterations: 3000}
 
-	solo1, err := NewRateController(sg1, opts).Run()
+	solo1, err := rateControl1(sg1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo2, err := NewRateController(sg2, opts).Run()
+	solo2, err := rateControl1(sg2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	mc, err := NewMultiRateController([]MultiSession{{Subgraph: sg1}, {Subgraph: sg2}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joint, err := mc.Run()
+	joint, err := RateControl([]*Subgraph{sg1, sg2}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,17 +155,13 @@ func TestMultiRateControllerSharesCapacity(t *testing.T) {
 	}
 }
 
-func TestMultiRateControllerAggregateFeasible(t *testing.T) {
+func TestRateControlAggregateFeasible(t *testing.T) {
 	nw := twoCorridors(t)
 	sg1, _ := SelectNodes(nw, 0, 5)
 	sg2, _ := SelectNodes(nw, 1, 6)
 	const capacity = 2e4
 	opts := Options{Capacity: capacity, MaxIterations: 3000}
-	mc, err := NewMultiRateController([]MultiSession{{Subgraph: sg1}, {Subgraph: sg2}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joint, err := mc.Run()
+	joint, err := RateControl([]*Subgraph{sg1, sg2}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

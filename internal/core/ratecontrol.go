@@ -31,9 +31,10 @@ type Options struct {
 	Tolerance float64
 	// Window is the stability window for convergence detection. Default 10.
 	Window int
-	// RecordTrace enables per-iteration snapshots (used to draw Fig. 1).
+	// RecordTrace enables per-iteration snapshots of every session (used
+	// to draw Fig. 1).
 	RecordTrace bool
-	// FreshWorkspace disables solver-workspace reuse: every Run allocates
+	// FreshWorkspace disables solver-workspace reuse: every solve allocates
 	// its scratch storage instead of drawing it from the package pool. The
 	// results are bit-identical either way — pooled scratch is re-zeroed on
 	// acquisition — which is exactly what the solver-reuse property tests
@@ -99,34 +100,56 @@ type Result struct {
 	Trace []Snapshot
 }
 
-// RateController runs the distributed rate-control algorithm of Table 1 on
-// a selected subgraph. The implementation mirrors the message-passing
-// structure of the paper — every update of node i uses only quantities
-// available at i or advertised by its neighbours — but executes the rounds
-// in a single process.
-type RateController struct {
-	sg   *Subgraph
-	opts Options
+// MultiSession is one unicast session of a multiple-unicast problem, with
+// its selected forwarder subgraph.
+type MultiSession struct {
+	// Subgraph is the session's forwarder set (local indices private to
+	// the session).
+	Subgraph *Subgraph
 }
 
-// NewRateController returns a controller for the subgraph.
-func NewRateController(sg *Subgraph, opts Options) *RateController {
-	return &RateController{sg: sg, opts: opts.withDefaults()}
+// MultiResult is the outcome of rate control over one or more sessions.
+type MultiResult struct {
+	// PerSession holds each session's rate allocation, index-aligned with
+	// the input sessions.
+	PerSession []*Result
+	// Iterations is the number of joint iterations executed.
+	Iterations int
+	// Converged reports whether every session's recovered rates
+	// stabilized.
+	Converged bool
 }
 
-// Run executes the algorithm until convergence or MaxIterations.
+// RateControl runs the distributed rate-control algorithm of Table 1 over
+// one or more unicast sessions sharing the channel, until convergence or
+// MaxIterations. One session is Table 1 itself. Several sessions are the
+// multiple-unicast extension the paper's conclusion points to ("the rate
+// control framework can be flexibly extended to other scenarios such as the
+// multiple-unicast case"): the broadcast MAC constraint (4) couples the
+// sessions at every common receiver, so each session keeps its private
+// Lagrange multipliers lambda and runs its own SUB1/SUB2, while the
+// congestion prices beta are shared per network node and priced against the
+// aggregate neighbourhood load of all sessions. The objective becomes
+// proportional fairness, sum of ln(gamma_s), which SUB1 already implements
+// per session via U = ln. Every subgraph's Nodes must hold IDs of one
+// network.
 //
-// All rates are normalized internally by the channel capacity C so the
-// subgradient steps of (8) and (15) operate on O(1) quantities; results are
-// scaled back to bytes/second.
-func (rc *RateController) Run() (*Result, error) {
-	sg := rc.sg
-	o := rc.opts
-	k := sg.Size()
-	nl := len(sg.Links)
-	if nl == 0 {
-		return nil, fmt.Errorf("core: subgraph has no links")
+// The implementation mirrors the message-passing structure of the paper —
+// every update of node i uses only quantities available at i or advertised
+// by its neighbours — but executes the rounds in a single process. All rates
+// are normalized internally by the channel capacity C so the subgradient
+// steps of (8) and (15) operate on O(1) quantities; results are scaled back
+// to bytes/second.
+func RateControl(sessions []*Subgraph, opts Options) (*MultiResult, error) {
+	if len(sessions) == 0 {
+		return nil, fmt.Errorf("core: no sessions")
 	}
+	for s, sg := range sessions {
+		if sg == nil || len(sg.Links) == 0 {
+			return nil, fmt.Errorf("core: session %d has no forwarder links", s)
+		}
+	}
+	o := opts.withDefaults()
 
 	// All scratch storage comes from the pooled workspace (workspace.go):
 	// acquisition re-zeroes every slice, so the solve below is byte-for-byte
@@ -134,17 +157,21 @@ func (rc *RateController) Run() (*Result, error) {
 	// per-iteration (and per-replan) allocations.
 	ws := getRateWorkspace(o.FreshWorkspace)
 	defer putRateWorkspace(ws, o.FreshWorkspace)
+	views, nSlots := ws.layout(sessions)
+	n := len(sessions)
 
 	// Step 1 of Table 1: primal variables at small positive values, duals
-	// at zero. Everything below is in capacity units (C == 1).
+	// at zero. Everything below is in capacity units (C == 1). The source
+	// holds no price: (4) holds for i != S.
 	const initRate = 0.01
-	b := f64(&ws.b, k)
-	for i := range b {
-		b[i] = initRate
+	for s, sg := range sessions {
+		b := views[s].b
+		for i := range b {
+			b[i] = initRate
+		}
+		b[sg.Dst] = 0 // the destination never transmits for its session
 	}
-	b[sg.Dst] = 0 // the destination never transmits for this session
-	lambda := f64(&ws.lambda, nl)
-	beta := f64(&ws.beta, k) // beta[Src] stays 0: (4) holds for i != S
+	beta := fill(&ws.beta, nSlots, 0)
 
 	// Running sums for primal recovery (13) and (18). Plain 1/t averaging
 	// over the whole history would let the crude early iterates dominate
@@ -152,128 +179,148 @@ func (rc *RateController) Run() (*Result, error) {
 	// power-of-two iteration: at any time they cover at least the latest
 	// half of the run, which remains a valid ergodic primal recovery in the
 	// sense of Sherali-Choi while converging much faster in practice.
-	sumX := f64(&ws.sumX, nl)
-	sumB := f64(&ws.sumB, k)
-	avgB := f64(&ws.avgB, k)
-	prevAvgB := f64(&ws.prevAvgB, k)
-	avgX := f64(&ws.avgX, nl)
+	// Full-history sums (traceSum*) drive the reported Fig. 1 trace: they
+	// converge more slowly but without the visible jumps the epoch restarts
+	// would cause.
 	epochStart := 1
 	nextRestart := 2
-	// Full-history sums drive the reported Fig. 1 trace: they converge more
-	// slowly but without the visible jumps the epoch restarts would cause.
-	traceSumX := f64(&ws.traceSumX, nl)
-	traceSumB := f64(&ws.traceSumB, k)
 
-	res := &Result{}
+	res := &MultiResult{PerSession: make([]*Result, n)}
+	for s := range res.PerSession {
+		res.PerSession[s] = &Result{}
+	}
 	stable := 0
 	for t := 1; t <= o.MaxIterations; t++ {
+		res.Iterations = t
 		if t == nextRestart {
-			for i := range sumX {
-				sumX[i] = 0
-			}
-			for i := range sumB {
-				sumB[i] = 0
-			}
+			clear(ws.sumX)
+			clear(ws.sumB)
 			epochStart = t
 			nextRestart *= 2
 			stable = 0
 		}
 		span := float64(t - epochStart + 1)
 		theta := o.StepA / (o.StepB + o.StepC*float64(t))
+		copy(ws.prevAvgB, ws.avgB)
 
-		// --- Step 3, SUB1: shortest path under link costs lambda, then
-		// gamma = U'^{-1}(p_min) with U = ln, i.e. gamma = 1/p_min (12).
-		sg.ForwardGraphInto(&ws.g, lambda)
-		path, pMin, ok := ws.pf.ShortestPath(&ws.g, sg.Src, sg.Dst)
-		if !ok {
-			return nil, &ErrUnreachable{Src: sg.Nodes[sg.Src], Dst: sg.Nodes[sg.Dst]}
-		}
-		gamma := 1.0 // cap at capacity: gamma in (0, C]
-		if pMin > 1 {
-			gamma = 1 / pMin
-		}
-		xt := f64(&ws.xt, nl)
-		onPath := pathLinkIndicesInto(sg, path, ints(&ws.onPath, len(path)))
-		for _, li := range onPath {
-			xt[li] = gamma
-		}
-		for li := range sumX {
-			sumX[li] += xt[li]
-			avgX[li] = sumX[li] / span // primal recovery (13)
-			traceSumX[li] += xt[li]
+		for s, sg := range sessions {
+			v := views[s]
+			k, nl := sg.Size(), len(sg.Links)
+
+			// --- Step 3, SUB1: shortest path under the session's link
+			// costs lambda, then gamma = U'^{-1}(p_min) with U = ln, i.e.
+			// gamma = 1/p_min (12).
+			sg.ForwardGraphInto(&ws.g, v.lambda)
+			path, pMin, ok := ws.pf.ShortestPath(&ws.g, sg.Src, sg.Dst)
+			if !ok {
+				return nil, &ErrUnreachable{Src: sg.Nodes[sg.Src], Dst: sg.Nodes[sg.Dst]}
+			}
+			gamma := 1.0 // cap at capacity: gamma in (0, C]
+			if pMin > 1 {
+				gamma = 1 / pMin
+			}
+			xt := fill(&ws.xt, nl, 0)
+			ws.onPath = pathLinkIndicesInto(sg, path, ws.onPath[:0])
+			for _, li := range ws.onPath {
+				xt[li] = gamma
+			}
+			for li := range xt {
+				v.sumX[li] += xt[li]
+				v.avgX[li] = v.sumX[li] / span // primal recovery (13)
+				if o.RecordTrace {
+					v.traceSumX[li] += xt[li]
+				}
+			}
+
+			// --- Step 4, SUB2: proximal update of b (17) against the
+			// shared congestion prices. w_i = sum_j lambda_ij p_ij over
+			// out-links of i.
+			w := fill(&ws.w, k, 0)
+			for li, l := range sg.Links {
+				w[l.From] += v.lambda[li] * l.Prob
+			}
+			for i := 0; i < k; i++ {
+				if i == sg.Dst {
+					continue
+				}
+				grad := w[i]
+				if p := v.slot[i]; p >= 0 {
+					grad -= beta[p]
+				}
+				for _, j := range sg.Neighbors(i) {
+					if p := v.slot[j]; p >= 0 {
+						grad -= beta[p]
+					}
+				}
+				nb := v.b[i] + grad/(2*o.Sigma)*theta
+				// Loose bounds 0 <= b_i <= C keep iterates bounded (Sec. 3.3).
+				if nb < 0 {
+					nb = 0
+				}
+				if nb > 1 {
+					nb = 1
+				}
+				v.b[i] = nb
+			}
+			for i := range v.b {
+				v.sumB[i] += v.b[i]
+				v.avgB[i] = v.sumB[i] / span // primal recovery (18)
+				if o.RecordTrace {
+					v.traceSumB[i] += v.b[i]
+				}
+			}
+
+			// --- Step 5: Lagrange multiplier update (8) with the raw
+			// iterates.
+			for li, l := range sg.Links {
+				slack := v.b[l.From]*l.Prob - xt[li]
+				v.lambda[li] = math.Max(0, v.lambda[li]-theta*slack)
+			}
 		}
 
-		// --- Step 4, SUB2: proximal update of b (17) and congestion price
-		// update (15). w_i = sum_j lambda_ij p_ij over out-links of i.
-		w := f64(&ws.w, k)
-		for li, l := range sg.Links {
-			w[l.From] += lambda[li] * l.Prob
-		}
-		newB := f64(&ws.newB, k)
-		for i := 0; i < k; i++ {
-			if i == sg.Dst {
-				continue
+		// Congestion price update (15) at every receiver slot against the
+		// aggregate load b_i + sum_{j in N(i)} b_j - C of every session the
+		// network node takes part in.
+		for p := range beta {
+			viol := -1.0 // -C first: one session sums (b_i - C) + ..., Table 1's order
+			for s, local := range ws.host[p*n : (p+1)*n] {
+				if local < 0 {
+					continue
+				}
+				b := views[s].b
+				viol += b[local]
+				for _, j := range sessions[s].Neighbors(local) {
+					viol += b[j]
+				}
 			}
-			grad := w[i] - beta[i]
-			for _, j := range sg.Neighbors(i) {
-				grad -= beta[j]
-			}
-			nb := b[i] + grad/(2*o.Sigma)*theta
-			// Loose bounds 0 <= b_i <= C keep iterates bounded (Sec. 3.3).
-			if nb < 0 {
-				nb = 0
-			}
-			if nb > 1 {
-				nb = 1
-			}
-			newB[i] = nb
-		}
-		copy(b, newB)
-		for i := 0; i < k; i++ {
-			if i == sg.Src {
-				continue // no receiver constraint at the source
-			}
-			viol := b[i] - 1 // b_i + sum_{j in N(i)} b_j - C
-			for _, j := range sg.Neighbors(i) {
-				viol += b[j]
-			}
-			beta[i] = math.Max(0, beta[i]+theta*viol)
-		}
-		copy(prevAvgB, avgB)
-		for i := 0; i < k; i++ {
-			sumB[i] += b[i]
-			avgB[i] = sumB[i] / span // primal recovery (18)
-			traceSumB[i] += b[i]
-		}
-
-		// --- Step 5: Lagrange multiplier update (8) with the raw iterates.
-		for li, l := range sg.Links {
-			slack := b[l.From]*l.Prob - xt[li]
-			lambda[li] = math.Max(0, lambda[li]-theta*slack)
+			beta[p] = math.Max(0, beta[p]+theta*viol)
 		}
 
 		if o.RecordTrace {
-			snap := Snapshot{Iteration: t, B: make([]float64, k)}
-			tAvgX := make([]float64, nl)
-			for li := range traceSumX {
-				tAvgX[li] = traceSumX[li] / float64(t)
+			for s, sg := range sessions {
+				v := &views[s]
+				snap := Snapshot{Iteration: t, B: make([]float64, sg.Size())}
+				tAvgX := make([]float64, len(sg.Links))
+				for li := range v.traceSumX {
+					tAvgX[li] = v.traceSumX[li] / float64(t)
+				}
+				for i := range v.traceSumB {
+					snap.B[i] = v.traceSumB[i] / float64(t) * o.Capacity
+				}
+				snap.Gamma = recoveredGamma(sg, tAvgX) * o.Capacity
+				res.PerSession[s].Trace = append(res.PerSession[s].Trace, snap)
 			}
-			for i := range traceSumB {
-				snap.B[i] = traceSumB[i] / float64(t) * o.Capacity
-			}
-			snap.Gamma = recoveredGamma(sg, tAvgX) * o.Capacity
-			res.Trace = append(res.Trace, snap)
 		}
 
-		// Convergence: recovered rates stable for Window iterations within
-		// the current averaging epoch (epoch restarts reset the counter).
+		// Convergence: recovered rates of every session stable for Window
+		// iterations within the current averaging epoch (epoch restarts
+		// reset the counter).
 		maxDelta := 0.0
-		for i := range avgB {
-			if d := math.Abs(avgB[i] - prevAvgB[i]); d > maxDelta {
+		for i := range ws.avgB {
+			if d := math.Abs(ws.avgB[i] - ws.prevAvgB[i]); d > maxDelta {
 				maxDelta = d
 			}
 		}
-		res.Iterations = t
 		if t-epochStart >= 1 && maxDelta < o.Tolerance {
 			stable++
 			if stable >= o.Window {
@@ -285,15 +332,20 @@ func (rc *RateController) Run() (*Result, error) {
 		}
 	}
 
-	res.B = make([]float64, k)
-	for i := range avgB {
-		res.B[i] = avgB[i] * o.Capacity
+	for s, sg := range sessions {
+		v := &views[s]
+		r := res.PerSession[s]
+		r.Iterations, r.Converged = res.Iterations, res.Converged
+		r.B = make([]float64, sg.Size())
+		for i := range v.avgB {
+			r.B[i] = v.avgB[i] * o.Capacity
+		}
+		r.X = make([]float64, len(sg.Links))
+		for li := range v.avgX {
+			r.X[li] = v.avgX[li] * o.Capacity
+		}
+		r.Gamma = recoveredGamma(sg, v.avgX) * o.Capacity
 	}
-	res.X = make([]float64, nl)
-	for li := range avgX {
-		res.X[li] = avgX[li] * o.Capacity
-	}
-	res.Gamma = recoveredGamma(sg, avgX) * o.Capacity
 	return res, nil
 }
 

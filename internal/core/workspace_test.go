@@ -38,15 +38,15 @@ func reuseSubgraphs(t *testing.T) []*Subgraph {
 func TestRunPooledMatchesFresh(t *testing.T) {
 	sgs := reuseSubgraphs(t)
 	opts := Options{MaxIterations: 400}
+	fresh := opts
+	fresh.FreshWorkspace = true
 	for round := 0; round < 3; round++ {
 		for i, sg := range sgs {
-			fresh := opts
-			fresh.FreshWorkspace = true
-			want, err := NewRateController(sg, fresh).Run()
+			want, err := rateControl1(sg, fresh)
 			if err != nil {
 				t.Fatalf("round %d sg %d fresh: %v", round, i, err)
 			}
-			got, err := NewRateController(sg, opts).Run()
+			got, err := rateControl1(sg, opts)
 			if err != nil {
 				t.Fatalf("round %d sg %d pooled: %v", round, i, err)
 			}
@@ -60,28 +60,20 @@ func TestRunPooledMatchesFresh(t *testing.T) {
 
 func TestMultiRunPooledMatchesFresh(t *testing.T) {
 	sgs := reuseSubgraphs(t)
-	sessions := []MultiSession{{Subgraph: sgs[0]}, {Subgraph: sgs[1]}, {Subgraph: sgs[2]}}
+	sessions := sgs[:3]
 	opts := Options{MaxIterations: 300}
 	fresh := opts
 	fresh.FreshWorkspace = true
-	mcF, err := NewMultiRateController(sessions, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mcF.Run()
+	want, err := RateControl(sessions, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
 		// Dirty the pool with single-session solves of other sizes first.
-		if _, err := NewRateController(sgs[3], opts).Run(); err != nil {
+		if _, err := rateControl1(sgs[3], opts); err != nil {
 			t.Fatal(err)
 		}
-		mc, err := NewMultiRateController(sessions, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := mc.Run()
+		got, err := RateControl(sessions, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

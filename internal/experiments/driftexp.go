@@ -86,7 +86,7 @@ func DriftSweep(cfg DriftSweepConfig) (*DriftSweepResult, error) {
 			})
 		}
 		pcfg.Faults = plan
-		st, err := protocol.Run(nw, p.src, p.dst, protocol.OMNC(base.RateOptions), pcfg)
+		st, err := protocol.OMNC(base.RateOptions).Run(nw, p.src, p.dst, pcfg)
 		if err != nil {
 			return fmt.Errorf("experiments: drift session %d->%d: %w", p.src, p.dst, err)
 		}

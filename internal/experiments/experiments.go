@@ -264,8 +264,7 @@ func (c Config) SessionConfig(seed int64) protocol.Config {
 func Protocol(name string, opts core.Options) (protocol.Protocol, error) {
 	switch name {
 	case ProtoOMNC:
-		return protocol.NewProtocol("omnc", protocol.OMNC(opts)).
-			WithMulti(protocol.OMNCMulti(opts)), nil
+		return protocol.OMNC(opts), nil
 	case ProtoMORE:
 		return protocol.NewProtocol("more", routing.MORE()), nil
 	case ProtoOldMORE:

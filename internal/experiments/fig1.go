@@ -74,10 +74,11 @@ func Fig1Convergence(cfg Fig1Config) (*Fig1Result, error) {
 	opts.Capacity = cfg.Capacity
 	opts.MaxIterations = cfg.MaxIterations
 	opts.RecordTrace = true
-	res, err := core.NewRateController(sg, opts).Run()
+	joint, err := core.RateControl([]*core.Subgraph{sg}, opts)
 	if err != nil {
 		return nil, err
 	}
+	res := joint.PerSession[0]
 
 	out := &Fig1Result{
 		Iterations: res.Iterations,

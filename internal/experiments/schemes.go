@@ -177,7 +177,7 @@ func RunSchemesSweep(cfg SchemesConfig) (*SchemesResult, error) {
 		pcfg := base.SessionConfig(seedmix.Derive(base.Seed, streamSchemesTrial, int64(i)))
 		pcfg.Scheme = cfg.Schemes[cell.schemeIdx]
 		pcfg.Redundancy = cfg.Redundancies[cell.redIdx]
-		st, err := protocol.Run(nw, 0, hops, protocol.OMNC(base.RateOptions), pcfg)
+		st, err := protocol.OMNC(base.RateOptions).Run(nw, 0, hops, pcfg)
 		if err != nil {
 			return fmt.Errorf("experiments: scheme %s redundancy %v hops %d: %w",
 				cfg.Schemes[cell.schemeIdx], cfg.Redundancies[cell.redIdx], hops, err)

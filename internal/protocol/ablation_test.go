@@ -77,7 +77,7 @@ func TestAblationUtilization(t *testing.T) {
 		means := make([]float64, len(etas))
 		for i, eta := range etas {
 			for seed := int64(1); seed <= seeds; seed++ {
-				st, err := Run(nw, src, dst, omncAtUtilization(core.Options{}, eta), AblationConfig(seed, sim.ModeCSMA))
+				st, err := omncProtocol(core.Options{}, eta).Run(nw, src, dst, AblationConfig(seed, sim.ModeCSMA))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +111,7 @@ func TestAblationMACMode(t *testing.T) {
 		nw, src, dst := AblationSession(t, topoSeed)
 		var tp [2]float64
 		for i, mode := range []sim.Mode{sim.ModeOracle, sim.ModeCSMA} {
-			st, err := Run(nw, src, dst, OMNC(core.Options{}), AblationConfig(6, mode))
+			st, err := OMNC(core.Options{}).Run(nw, src, dst, AblationConfig(6, mode))
 			if err != nil {
 				t.Fatal(err)
 			}

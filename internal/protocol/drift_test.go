@@ -29,7 +29,7 @@ func TestDriftDeadTimeCostsThroughput(t *testing.T) {
 		cfg := fastConfig(62)
 		cfg.Duration = 240
 		cfg.Faults = driftPlan(5, 0.2, dur, 60, 120, 180)
-		st, err := Run(nw, 0, 3, OMNC(core.Options{}), cfg)
+		st, err := OMNC(core.Options{}).Run(nw, 0, 3, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestDriftSessionKeepsDecoding(t *testing.T) {
 	cfg.Duration = 360
 	cfg.Trace = buf
 	cfg.Faults = driftPlan(2, 0.25, 5, 120, 240)
-	st, err := Run(nw, src, dst, OMNC(core.Options{}), cfg)
+	st, err := OMNC(core.Options{}).Run(nw, src, dst, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,10 @@ func TestDriftPlanValidation(t *testing.T) {
 	} {
 		cfg := fastConfig(64)
 		cfg.Faults = &faults.Plan{Events: []faults.Event{ev}}
-		if _, err := Run(nw, 0, 3, OMNC(core.Options{}), cfg); !errors.Is(err, faults.ErrInvalidPlan) {
+		if _, err := OMNC(core.Options{}).Run(nw, 0, 3, cfg); !errors.Is(err, faults.ErrInvalidPlan) {
 			t.Errorf("%s: err = %v, want ErrInvalidPlan", name, err)
 		}
-		if _, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 3}}, omncProto(), cfg); !errors.Is(err, faults.ErrInvalidPlan) {
+		if _, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 3}}, OMNC(core.Options{}), cfg); !errors.Is(err, faults.ErrInvalidPlan) {
 			t.Errorf("%s (multi): err = %v, want ErrInvalidPlan", name, err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestRunMultiDriftedLinksDeliverAtTheNewProbability(t *testing.T) {
 	if err := env.InstallFaults(driftPlan(8, 0.6, 0, 0), nw, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	runs, err := omncProto().sessions(env, nw, specs, cfg)
+	runs, err := OMNC(core.Options{}).build(env, specs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

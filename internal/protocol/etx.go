@@ -19,7 +19,7 @@ const macAckBytes = 14
 // retransmissions providing per-hop reliability, and nodes contend for
 // channel shares like everyone else. No coding, no multipath.
 func ETX() Protocol {
-	return Protocol{name: "etx", attach: attachETX}
+	return perSession("etx", attachETX)
 }
 
 // etxSession is ETX routing's data plane on the session shell: the current

@@ -27,10 +27,10 @@ func TestAblationPayloadFidelity(t *testing.T) {
 	t.Parallel()
 	protos := []struct {
 		name  string
-		build protocol.Builder
+		proto protocol.Protocol
 	}{
 		{"omnc", protocol.OMNC(core.Options{})},
-		{"more", routing.MORE()},
+		{"more", protocol.NewProtocol("more", routing.MORE())},
 	}
 	for _, topoSeed := range protocol.AblationTopologies {
 		nw, src, dst := protocol.AblationSession(t, topoSeed)
@@ -45,7 +45,7 @@ func TestAblationPayloadFidelity(t *testing.T) {
 					cfg.Coding.BlockSize = blockSize
 					cfg.Duration = 100
 					var err error
-					if st[i], err = protocol.Run(nw, src, dst, p.build, cfg); err != nil {
+					if st[i], err = p.proto.Run(nw, src, dst, cfg); err != nil {
 						t.Fatal(err)
 					}
 				}

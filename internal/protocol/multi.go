@@ -69,8 +69,9 @@ func ValidateSessions(n int, sessions []Endpoints) error {
 // forwarding for two sessions round-robins its air time between them and
 // every receiver demultiplexes the common broadcast channel by session tag.
 //
-// OMNC sessions get their rates from the joint controller
-// (core.MultiRateController), whose shared congestion prices divide each
+// The sessions are built by the protocol's one constructor, the one Run
+// calls with a single session: OMNC solves the rates of all N jointly
+// (core.RateControl), whose shared congestion prices divide each
 // neighbourhood's capacity across sessions; MORE, oldMORE and ETX run their
 // usual uncoordinated disciplines per session.
 func RunMulti(net *topology.Network, sessions []Endpoints, proto Protocol, cfg Config) (*MultiStats, error) {
@@ -98,12 +99,12 @@ func RunMulti(net *topology.Network, sessions []Endpoints, proto Protocol, cfg C
 	if err := env.InstallFaults(cfg.Faults, net, nil, cfg.Trace); err != nil {
 		return nil, err
 	}
-	runs, err := proto.sessions(env, net, specs, cfg)
+	if proto.build == nil {
+		return nil, errZeroProtocol
+	}
+	runs, err := proto.build(env, specs, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if len(runs) != len(sessions) {
-		return nil, fmt.Errorf("protocol: %s built %d sessions for %d endpoints", proto.Name(), len(runs), len(sessions))
 	}
 	for _, s := range runs {
 		s.Start()

@@ -37,15 +37,11 @@ func crossroads(t *testing.T) *topology.Network {
 	return nw
 }
 
-func omncProto() Protocol {
-	return NewProtocol("omnc", OMNC(core.Options{})).WithMulti(OMNCMulti(core.Options{}))
-}
-
 func TestRunMultiSingleSession(t *testing.T) {
 	nw := crossroads(t)
 	cfg := fastConfig(91)
 	cfg.Duration = 200
-	cs, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 5}}, omncProto(), cfg)
+	cs, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 5}}, OMNC(core.Options{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +64,7 @@ func TestRunMultiTwoSessions(t *testing.T) {
 	cfg := fastConfig(92)
 	cfg.Duration = 300
 	cs, err := RunMulti(nw,
-		[]Endpoints{{Src: 0, Dst: 5}, {Src: 1, Dst: 6}}, omncProto(), cfg)
+		[]Endpoints{{Src: 0, Dst: 5}, {Src: 1, Dst: 6}}, OMNC(core.Options{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +84,7 @@ func TestRunMultiTwoSessions(t *testing.T) {
 	}
 
 	// Sharing the relays must cost throughput versus running alone.
-	solo, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 5}}, omncProto(), cfg)
+	solo, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 5}}, OMNC(core.Options{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,22 +126,22 @@ func TestValidateSessions(t *testing.T) {
 func TestRunMultiValidation(t *testing.T) {
 	nw := crossroads(t)
 	cfg := fastConfig(93)
-	if _, err := RunMulti(nw, nil, omncProto(), cfg); !errors.Is(err, ErrInvalidSession) {
+	if _, err := RunMulti(nw, nil, OMNC(core.Options{}), cfg); !errors.Is(err, ErrInvalidSession) {
 		t.Fatalf("no sessions: err = %v, want ErrInvalidSession", err)
 	}
-	if _, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 0}}, omncProto(), cfg); !errors.Is(err, ErrInvalidSession) {
+	if _, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 0}}, OMNC(core.Options{}), cfg); !errors.Is(err, ErrInvalidSession) {
 		t.Fatalf("degenerate endpoints: err = %v, want ErrInvalidSession", err)
 	}
-	if _, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 99}}, omncProto(), cfg); !errors.Is(err, ErrInvalidSession) {
+	if _, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 99}}, OMNC(core.Options{}), cfg); !errors.Is(err, ErrInvalidSession) {
 		t.Fatalf("out-of-range endpoints: err = %v, want ErrInvalidSession", err)
 	}
-	if _, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 5}, {Src: 0, Dst: 5}}, omncProto(), cfg); !errors.Is(err, ErrInvalidSession) {
+	if _, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 5}, {Src: 0, Dst: 5}}, OMNC(core.Options{}), cfg); !errors.Is(err, ErrInvalidSession) {
 		t.Fatalf("duplicate sessions: err = %v, want ErrInvalidSession", err)
 	}
 	bad := cfg
 	bad.Coding.GenerationSize = -1
 	err := func() error {
-		_, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 5}}, omncProto(), bad)
+		_, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 5}}, OMNC(core.Options{}), bad)
 		return err
 	}()
 	if err == nil {
@@ -161,11 +157,11 @@ func TestRunMultiDeterministic(t *testing.T) {
 	cfg := fastConfig(94)
 	cfg.Duration = 150
 	eps := []Endpoints{{Src: 0, Dst: 5}, {Src: 1, Dst: 6}}
-	a, err := RunMulti(nw, eps, omncProto(), cfg)
+	a, err := RunMulti(nw, eps, OMNC(core.Options{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMulti(nw, eps, omncProto(), cfg)
+	b, err := RunMulti(nw, eps, OMNC(core.Options{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +186,7 @@ func TestRunMultiSharedForwarderAttribution(t *testing.T) {
 	cfg := fastConfig(95)
 	cfg.Duration = 300
 	cs, err := RunMulti(nw,
-		[]Endpoints{{Src: 0, Dst: 5}, {Src: 1, Dst: 6}}, omncProto(), cfg)
+		[]Endpoints{{Src: 0, Dst: 5}, {Src: 1, Dst: 6}}, OMNC(core.Options{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +215,7 @@ func TestRunMultiMaxGenerations(t *testing.T) {
 	cfg.Duration = 600
 	cfg.MaxGenerations = 1
 	cs, err := RunMulti(nw,
-		[]Endpoints{{Src: 0, Dst: 5}, {Src: 1, Dst: 6}}, omncProto(), cfg)
+		[]Endpoints{{Src: 0, Dst: 5}, {Src: 1, Dst: 6}}, OMNC(core.Options{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +237,13 @@ func TestRunMultiValidatesSchemeConfig(t *testing.T) {
 
 	cfg := fastConfig(97)
 	cfg.Scheme = coding.Scheme(99)
-	if _, err := RunMulti(nw, eps, omncProto(), cfg); !errors.Is(err, coding.ErrInvalidScheme) {
+	if _, err := RunMulti(nw, eps, OMNC(core.Options{}), cfg); !errors.Is(err, coding.ErrInvalidScheme) {
 		t.Fatalf("bad scheme: err = %v, want ErrInvalidScheme", err)
 	}
 
 	cfg = fastConfig(97)
 	cfg.Redundancy = 0.5
-	if _, err := RunMulti(nw, eps, omncProto(), cfg); !errors.Is(err, coding.ErrInvalidRedundancy) {
+	if _, err := RunMulti(nw, eps, OMNC(core.Options{}), cfg); !errors.Is(err, coding.ErrInvalidRedundancy) {
 		t.Fatalf("sub-unit redundancy: err = %v, want ErrInvalidRedundancy", err)
 	}
 }
@@ -261,7 +257,7 @@ func TestRunMultiSchemes(t *testing.T) {
 		cfg := fastConfig(98)
 		cfg.Duration = 200
 		cfg.Scheme = scheme
-		cs, err := RunMulti(nw, eps, omncProto(), cfg)
+		cs, err := RunMulti(nw, eps, OMNC(core.Options{}), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}

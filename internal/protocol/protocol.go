@@ -176,62 +176,53 @@ type Builder func(sg *core.Subgraph, cfg Config) (*Policy, error)
 
 // Protocol packages a forwarding discipline together with the runtime that
 // executes it, so every protocol — OMNC, the MORE/oldMORE baselines, uncoded
-// ETX routing — runs through one entry point. The zero value is invalid; use
-// NewProtocol or ETX.
+// ETX routing — runs through one entry point. Its one constructor builds
+// the sessions of a run on an Env: one for Run, N for RunMulti. The zero
+// value is invalid; use OMNC, NewProtocol or ETX.
 type Protocol struct {
-	name   string
-	attach func(env *Env, sp SessionSpec, cfg Config) (Session, error)
-	multi  MultiBuilder
+	name  string
+	build func(env *Env, specs []SessionSpec, cfg Config) ([]Session, error)
 }
 
 // NewProtocol wraps a policy builder as a Protocol executed by the shared
 // coded runtime (node selection, generations, re-encoding forwarders,
-// progressive decoding).
+// progressive decoding). Each session gets its own policy from build.
 func NewProtocol(name string, build Builder) Protocol {
-	return Protocol{name: name, attach: func(env *Env, sp SessionSpec, cfg Config) (Session, error) {
+	return perSession(name, func(env *Env, sp SessionSpec, cfg Config) (Session, error) {
 		return attachPolicy(env, sp, cfg, build)
+	})
+}
+
+// perSession is a Protocol whose sessions attach one by one, each on its
+// own: no coordination across the sessions of a run.
+func perSession(name string, attach func(env *Env, sp SessionSpec, cfg Config) (Session, error)) Protocol {
+	return Protocol{name: name, build: func(env *Env, specs []SessionSpec, cfg Config) ([]Session, error) {
+		out := make([]Session, len(specs))
+		for i, sp := range specs {
+			s, err := attach(env, sp, cfg)
+			if err != nil {
+				if env.exclusive {
+					return nil, err
+				}
+				return nil, fmt.Errorf("protocol: session %d: %w", sp.ID, err)
+			}
+			out[i] = s
+		}
+		return out, nil
 	}}
 }
 
 // Name returns the protocol's label.
 func (p Protocol) Name() string { return p.name }
 
-// WithMulti returns a copy of the protocol with a dedicated multi-session
-// constructor. RunMulti uses it instead of attaching each session on its
-// own — OMNC installs its joint rate controller here.
-func (p Protocol) WithMulti(mb MultiBuilder) Protocol {
-	p.multi = mb
-	return p
-}
-
-var errZeroProtocol = errors.New("protocol: zero Protocol value; use NewProtocol or ETX")
-
-// sessions constructs the protocol's sessions of a multi-unicast run on the
-// shared Env.
-func (p Protocol) sessions(env *Env, net *topology.Network, specs []SessionSpec, cfg Config) ([]Session, error) {
-	if p.multi != nil {
-		return p.multi(env, net, specs, cfg)
-	}
-	if p.attach == nil {
-		return nil, errZeroProtocol
-	}
-	out := make([]Session, len(specs))
-	for i, sp := range specs {
-		s, err := p.attach(env, sp, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: session %d: %w", sp.ID, err)
-		}
-		out[i] = s
-	}
-	return out, nil
-}
+var errZeroProtocol = errors.New("protocol: zero Protocol value; use OMNC, NewProtocol or ETX")
 
 // Run emulates one unicast session from src to dst under the protocol and
 // returns its statistics. Every protocol runs the same way: the session
 // owns a private Env over its selected subgraph, so all four compare like
 // with like on one channel model.
 func (p Protocol) Run(net *topology.Network, src, dst int, cfg Config) (*Stats, error) {
-	if p.attach == nil {
+	if p.build == nil {
 		return nil, errZeroProtocol
 	}
 	cfg = cfg.WithDefaults()
@@ -252,10 +243,11 @@ func (p Protocol) Run(net *topology.Network, src, dst int, cfg Config) (*Stats, 
 	if err := env.InstallFaults(cfg.Faults, net, sg.Nodes, cfg.Trace); err != nil {
 		return nil, err
 	}
-	s, err := p.attach(env, SessionSpec{Src: src, Dst: dst, Subgraph: sg}, cfg)
+	runs, err := p.build(env, []SessionSpec{{Src: src, Dst: dst, Subgraph: sg}}, cfg)
 	if err != nil {
 		return nil, err
 	}
+	s := runs[0]
 	s.Start()
 	env.Eng.Run(cfg.Duration)
 	st := s.Finish(cfg.Duration)
@@ -328,12 +320,6 @@ func (m *subgraphMedium) Neighbors(i int) []int { return m.sg.Neighbors(i) }
 // in isolation (the benchmark's probes are its only caller).
 func NewMedium(net *topology.Network, sg *core.Subgraph) sim.Medium {
 	return &subgraphMedium{net: net, sg: sg}
-}
-
-// Run emulates one unicast session from src to dst under the policy built
-// by build, and returns its statistics.
-func Run(net *topology.Network, src, dst int, build Builder, cfg Config) (*Stats, error) {
-	return NewProtocol("", build).Run(net, src, dst, cfg)
 }
 
 // ackLatency estimates the uncoded ACK's best-path trip time: one reliable

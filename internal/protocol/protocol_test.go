@@ -35,7 +35,7 @@ func fastConfig(seed int64) Config {
 }
 
 func TestOMNCSessionDecodesOnDiamond(t *testing.T) {
-	st, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), fastConfig(1))
+	st, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, fastConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestOMNCSessionDecodesOnDiamond(t *testing.T) {
 func TestOMNCEmulatedBelowOptimized(t *testing.T) {
 	// Sec. 5: "the actual emulated throughput of OMNC tends to be lower
 	// than the optimized throughput computed by the sUnicast framework".
-	st, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), fastConfig(2))
+	st, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, fastConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestOMNCEmulatedBelowOptimized(t *testing.T) {
 func TestMaxGenerationsStopsEarly(t *testing.T) {
 	cfg := fastConfig(3)
 	cfg.MaxGenerations = 2
-	st, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), cfg)
+	st, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCBRLimitsThroughput(t *testing.T) {
 	cfg := fastConfig(4)
 	cfg.CBRRate = 1000
 	cfg.Duration = 300
-	st, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), cfg)
+	st, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCBRLimitsThroughput(t *testing.T) {
 func TestQueueSamplingInSession(t *testing.T) {
 	cfg := fastConfig(5)
 	cfg.QueueSampleInterval = 0.05
-	st, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), cfg)
+	st, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestQueueSamplingInSession(t *testing.T) {
 }
 
 func TestUtilityMetricsOnDiamond(t *testing.T) {
-	st, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), fastConfig(6))
+	st, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, fastConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestUtilityMetricsOnDiamond(t *testing.T) {
 }
 
 func TestInnovativeAccounting(t *testing.T) {
-	st, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), fastConfig(7))
+	st, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, fastConfig(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,17 +158,17 @@ func TestInnovativeAccounting(t *testing.T) {
 
 func TestRunErrorsOnBadInput(t *testing.T) {
 	nw := diamond(t)
-	if _, err := Run(nw, 0, 0, OMNC(core.Options{}), fastConfig(8)); err == nil {
+	if _, err := OMNC(core.Options{}).Run(nw, 0, 0, fastConfig(8)); err == nil {
 		t.Fatal("src == dst must fail")
 	}
 	bad := fastConfig(9)
 	bad.Coding.GenerationSize = -1
-	if _, err := Run(nw, 0, 3, OMNC(core.Options{}), bad); err == nil {
+	if _, err := OMNC(core.Options{}).Run(nw, 0, 3, bad); err == nil {
 		t.Fatal("invalid coding params must fail")
 	}
 	small := fastConfig(10)
 	small.AirPacketSize = 4 // cannot carry 8 coefficients
-	if _, err := Run(nw, 0, 3, OMNC(core.Options{}), small); err == nil {
+	if _, err := OMNC(core.Options{}).Run(nw, 0, 3, small); err == nil {
 		t.Fatal("air packet smaller than coefficient vector must fail")
 	}
 }
@@ -177,17 +177,17 @@ func TestPolicySizeValidation(t *testing.T) {
 	builder := func(sg *core.Subgraph, cfg Config) (*Policy, error) {
 		return &Policy{Name: "bad", Caps: []float64{1}, Credit: []float64{1}}, nil
 	}
-	if _, err := Run(diamond(t), 0, 3, builder, fastConfig(11)); err == nil {
+	if _, err := NewProtocol("bad", builder).Run(diamond(t), 0, 3, fastConfig(11)); err == nil {
 		t.Fatal("mis-sized policy must fail")
 	}
 }
 
 func TestDeterministicWithSeed(t *testing.T) {
-	a, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), fastConfig(42))
+	a, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, fastConfig(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), fastConfig(42))
+	b, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, fastConfig(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestOMNCOnRandomNetwork(t *testing.T) {
 		}
 		cfg := fastConfig(14)
 		cfg.Duration = 200
-		st, err := Run(nw, 0, dst, OMNC(core.Options{MaxIterations: 800}), cfg)
+		st, err := OMNC(core.Options{MaxIterations: 800}).Run(nw, 0, dst, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestSessionTracing(t *testing.T) {
 	cfg := fastConfig(30)
 	cfg.Duration = 60
 	cfg.Trace = buf
-	st, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), cfg)
+	st, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestSessionTracing(t *testing.T) {
 func TestGenerationLatenciesReported(t *testing.T) {
 	cfg := fastConfig(33)
 	cfg.Duration = 120
-	st, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), cfg)
+	st, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +322,12 @@ func TestExpiredGenerationPacketsDiscarded(t *testing.T) {
 	// generation").
 	nw := diamond(t)
 	sg, _ := core.SelectNodes(nw, 0, 3)
-	pol, err := OMNC(core.Options{})(sg, fastConfig(50).WithDefaults())
+	cfg := fastConfig(50).WithDefaults()
+	pols, err := newOMNCPlanner(core.Options{}, 0, cfg).policies([]*core.Subgraph{sg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := exclusiveRuntime(t, nw, sg, pol, fastConfig(50).WithDefaults())
+	rt := exclusiveRuntime(t, nw, sg, pols[0], cfg)
 	dst := rt.nodes[sg.Dst]
 	stale := &coding.Packet{
 		Generation: 99, // not the current generation

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"omnc/internal/core"
-	"omnc/internal/faults"
 	"omnc/internal/graph"
 )
 
@@ -33,33 +32,62 @@ func (rt *runtime) rejoin(local int) {
 	}
 }
 
-// replan implements dataPlane: it recomputes the session's policy over the
-// subgraph that survives the current faults. If the destination is
-// unreachable the session stalls (all transmitters go quiet) until a later
-// epoch restores a path; if the protocol has a policy builder it re-solves
-// — OMNC re-runs the Lagrangian rate allocation, MORE/oldMORE recompute
-// their credits — and the new caps land on the MAC without disturbing
-// in-flight frames.
+// replan implements dataPlane: the policy builder re-solves the session
+// over the subgraph that survives the current faults (replanLive) — MORE
+// and oldMORE recompute their credits — and the new caps land on the MAC
+// without disturbing in-flight frames. OMNC sessions have no builder: one
+// subscriber re-plans all of a run's OMNC sessions jointly, by the same
+// rules.
 func (rt *runtime) replan() {
-	down := rt.downMask()
-	masked := rt.sg.Masked(down, rt.linkFactor)
-	if _, _, ok := graph.ShortestPath(masked.ForwardGraph(nil), masked.Src, masked.Dst); !ok {
-		rt.stall()
+	if rt.rebuild == nil {
 		return
 	}
-	pol := rt.pol
-	if rt.rebuild != nil {
-		p, err := rt.rebuild(masked, rt.cfg)
-		if err != nil {
-			// The masked subgraph can be degenerate in ways node selection
-			// would never produce; waiting for the next epoch is the only
-			// sound reaction.
-			rt.stall()
-			return
+	replanLive([]*runtime{rt}, func(sgs []*core.Subgraph) ([]*Policy, error) {
+		pol, err := rt.rebuild(sgs[0], rt.cfg)
+		return []*Policy{pol}, err
+	})
+}
+
+// replanLive re-plans the sessions still running over the subgraphs that
+// survive the current faults — down nodes out, links at the injector's
+// planning view — with one call to solve. A session whose destination is cut
+// off stalls until a later epoch restores a path; a failed solve stalls
+// every session it covered: the masked subgraphs can be degenerate in ways
+// node selection would never produce, and waiting for the next epoch is the
+// only sound reaction.
+func replanLive(rts []*runtime, solve func([]*core.Subgraph) ([]*Policy, error)) {
+	var (
+		live  []*runtime
+		sgs   []*core.Subgraph
+		downs [][]bool
+	)
+	for _, rt := range rts {
+		if rt.done {
+			continue
 		}
-		pol = p
+		down := rt.downMask()
+		masked := rt.sg.Masked(down, rt.linkFactor)
+		if _, _, ok := graph.ShortestPath(masked.ForwardGraph(nil), masked.Src, masked.Dst); !ok {
+			rt.stall()
+			continue
+		}
+		live = append(live, rt)
+		sgs = append(sgs, masked)
+		downs = append(downs, down)
 	}
-	rt.applyPolicy(pol, down)
+	if len(live) == 0 {
+		return
+	}
+	pols, err := solve(sgs)
+	if err != nil {
+		for _, rt := range live {
+			rt.stall()
+		}
+		return
+	}
+	for i, rt := range live {
+		rt.applyPolicy(pols[i], downs[i])
+	}
 }
 
 // linkFactor is the injector's planning view of the link between two local
@@ -71,8 +99,7 @@ func (rt *runtime) linkFactor(i, j int) float64 {
 // downMask fills the runtime's replan scratch with the current down state of
 // every subgraph node. The slice is recycled across topology epochs: Masked
 // and applyPolicy both consume it synchronously and retain nothing, and fault
-// handlers for one runtime never overlap, so one mask per runtime suffices
-// even when jointReplan re-plans after the per-session handlers.
+// handlers for one runtime never overlap, so one mask per runtime suffices.
 func (rt *runtime) downMask() []bool {
 	inj := rt.env.Faults
 	if cap(rt.replanDown) < rt.sg.Size() {
@@ -113,71 +140,5 @@ func (rt *runtime) applyPolicy(pol *Policy, down []bool) {
 			rt.mac.SetPortCap(n.macID, n, pol.Caps[i])
 		}
 		rt.mac.Wake(n.macID)
-	}
-}
-
-// jointReplan is OMNCMulti's additional epoch subscriber: where each
-// session's own onFault handles state loss and reachability, this handler
-// re-runs the joint rate controller across every live, reachable session so
-// the shared congestion prices keep dividing each neighbourhood's surviving
-// capacity. It subscribes after the per-session handlers, so it observes
-// their crash/rejoin effects. On controller failure the old rates stand.
-func jointReplan(env *Env, rts []*runtime, opts core.Options, utilization float64) func(faults.Event) {
-	return func(faults.Event) {
-		if env.Faults.Reinitiating() {
-			return // every session is silent until the drift's window closes
-		}
-		type liveSession struct {
-			rt     *runtime
-			masked *core.Subgraph
-			down   []bool
-		}
-		var live []liveSession
-		for _, rt := range rts {
-			if rt.done {
-				continue
-			}
-			down := rt.downMask()
-			masked := rt.sg.Masked(down, rt.linkFactor)
-			if _, _, ok := graph.ShortestPath(masked.ForwardGraph(nil), masked.Src, masked.Dst); !ok {
-				continue // the session's own handler has stalled it
-			}
-			live = append(live, liveSession{rt: rt, masked: masked, down: down})
-		}
-		if len(live) == 0 {
-			return
-		}
-		multi := make([]core.MultiSession, len(live))
-		for i, l := range live {
-			multi[i] = core.MultiSession{Subgraph: l.masked}
-		}
-		mc, err := core.NewMultiRateController(multi, opts)
-		if err != nil {
-			return
-		}
-		joint, err := mc.Run()
-		if err != nil {
-			return
-		}
-		minRate := 1e-4 * opts.Capacity
-		for i, l := range live {
-			sg := l.masked
-			rates := joint.PerSession[i].SupportingRates(sg)
-			caps, _ := core.RescaleFeasible(sg, rates, utilization*opts.Capacity)
-			exclude := make([]bool, sg.Size())
-			for j, b := range caps {
-				if j != sg.Src && b < minRate {
-					exclude[j] = true
-				}
-			}
-			l.rt.applyPolicy(&Policy{
-				Name:             l.rt.pol.Name,
-				Caps:             caps,
-				Credit:           make([]float64, sg.Size()),
-				SendWhenNonEmpty: true,
-				Exclude:          exclude,
-				Gamma:            joint.PerSession[i].Gamma,
-			}, l.down)
-		}
 	}
 }

@@ -22,7 +22,7 @@ func TestCrashingEveryRelayDisconnectsUntilRecovery(t *testing.T) {
 		{At: 100, Kind: faults.NodeCrash, Node: 2},
 		{At: 200, Kind: faults.NodeRecover, Node: 1},
 	}}
-	if _, err := Run(diamond(t), 0, 3, OMNC(core.Options{}), cfg); err != nil {
+	if _, err := OMNC(core.Options{}).Run(diamond(t), 0, 3, cfg); err != nil {
 		t.Fatal(err)
 	}
 	var connected, oneRelay, cutOff, recovered int

@@ -22,11 +22,11 @@ type runtime struct {
 	nodes []*node
 
 	// Fault handling (rtfaults.go): rebuild re-solves the policy over the
-	// surviving subgraph on every topology epoch; gen is the live
+	// surviving subgraph on every topology epoch (nil for OMNC, whose
+	// planner re-solves a run's sessions jointly); gen is the live
 	// generation, so recovered nodes can rejoin it with fresh state.
-	// replanDown is the down-mask scratch recycled across epochs (replan and
-	// jointReplan both borrow it within one fault event; nothing retains it
-	// past applyPolicy).
+	// replanDown is the down-mask scratch recycled across epochs (nothing
+	// retains it past applyPolicy).
 	rebuild    Builder
 	gen        *coding.Generation
 	replanDown []bool

@@ -142,9 +142,3 @@ type SessionSpec struct {
 	// Subgraph is the session's selected forwarder set.
 	Subgraph *core.Subgraph
 }
-
-// MultiBuilder constructs all sessions of a multi-unicast run at once on a
-// shared Env. Protocols with joint rate control (OMNC) implement it to
-// coordinate allocations across sessions; protocols without one get the
-// generic per-subgraph construction from their policy Builder.
-type MultiBuilder func(env *Env, net *topology.Network, specs []SessionSpec, cfg Config) ([]Session, error)

@@ -51,8 +51,7 @@ func TestRunMultiAllProtocols(t *testing.T) {
 	nw := twoFlows(t)
 	eps := []protocol.Endpoints{{Src: 0, Dst: 5}, {Src: 1, Dst: 6}}
 	protos := []protocol.Protocol{
-		protocol.NewProtocol("omnc", protocol.OMNC(core.Options{})).
-			WithMulti(protocol.OMNCMulti(core.Options{})),
+		protocol.OMNC(core.Options{}),
 		protocol.NewProtocol("more", MORE()),
 		protocol.NewProtocol("oldmore", OldMORE()),
 		protocol.ETX(),
@@ -91,11 +90,9 @@ func TestRunMultiAllProtocols(t *testing.T) {
 // only session of RunMulti sees the same channel and counts Fig. 4's
 // utilities by one rule, so every statistic and the report must agree —
 // except the queue figures, which shared placement leaves to the channel.
-// OMNC runs through its per-session builder here; under RunMulti the facade
-// OMNC uses the joint rate controller instead.
 func TestRunMatchesRunMultiOfOne(t *testing.T) {
 	protos := []protocol.Protocol{
-		protocol.NewProtocol("omnc", protocol.OMNC(core.Options{})),
+		protocol.OMNC(core.Options{}),
 		protocol.NewProtocol("more", MORE()),
 		protocol.NewProtocol("oldmore", OldMORE()),
 		protocol.ETX(),

@@ -97,7 +97,7 @@ func TestMOREPlanLoadSplitsByProximity(t *testing.T) {
 }
 
 func TestMORESessionDecodes(t *testing.T) {
-	st, err := protocol.Run(diamond(t), 0, 3, MORE(), fastConfig(21))
+	st, err := protocol.NewProtocol("more", MORE()).Run(diamond(t), 0, 3, fastConfig(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestOldMORESpillsWhenBestPathSaturates(t *testing.T) {
 }
 
 func TestOldMORESessionDecodes(t *testing.T) {
-	st, err := protocol.Run(diamond(t), 0, 3, OldMORE(), fastConfig(22))
+	st, err := protocol.NewProtocol("oldmore", OldMORE()).Run(diamond(t), 0, 3, fastConfig(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestProtocolOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	omnc, err := protocol.Run(nw, 0, 3, protocol.OMNC(core.Options{}), cfg)
+	omnc, err := protocol.OMNC(core.Options{}).Run(nw, 0, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

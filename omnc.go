@@ -209,7 +209,11 @@ func SelectForwarders(net *Network, src, dst int) (*Subgraph, error) {
 // selected subgraph and returns the per-node broadcast/encoding rates, the
 // per-link information rates, and the throughput estimate.
 func OptimizeRates(sg *Subgraph, opts RateOptions) (*RateResult, error) {
-	return core.NewRateController(sg, opts).Run()
+	joint, err := core.RateControl([]*Subgraph{sg}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return joint.PerSession[0], nil
 }
 
 // SolveOptimalRates solves the sUnicast linear program (1)-(5) centrally
@@ -245,12 +249,12 @@ func NewDecoder(generation int, params CodingParams) (*Decoder, error) {
 
 // OMNC is the paper's protocol: node selection, distributed rate control
 // (Table 1), and rate-driven re-encoding forwarders. opts tunes the rate
-// controller; the zero value selects its defaults. Under RunMulti the
-// protocol allocates rates jointly across sessions (congestion prices shared
-// per physical node) instead of per session.
+// controller; the zero value selects its defaults. Run and RunMulti build
+// sessions the same way: the rates of all the sessions of a run come from
+// one joint solve (OptimizeRatesJointly, congestion prices shared per
+// physical node), which for Run's one session is OptimizeRates exactly.
 func OMNC(opts RateOptions) Protocol {
-	return protocol.NewProtocol("omnc", protocol.OMNC(opts)).
-		WithMulti(protocol.OMNCMulti(opts))
+	return protocol.OMNC(opts)
 }
 
 // MORE is the SIGCOMM'07 opportunistic-routing baseline: TX-credit
@@ -296,20 +300,24 @@ type (
 // OptimizeRatesJointly allocates rates to several concurrent unicast
 // sessions sharing the channel: per-session SUB1/SUB2 with congestion
 // prices shared per network node (the paper's multiple-unicast extension).
+// It is the algorithm OptimizeRates runs, over every session at once: one
+// session gets exactly OptimizeRates' result.
 func OptimizeRatesJointly(sessions []MultiSession, opts RateOptions) (*MultiResult, error) {
-	mc, err := core.NewMultiRateController(sessions, opts)
-	if err != nil {
-		return nil, err
+	sgs := make([]*Subgraph, len(sessions))
+	for i, s := range sessions {
+		sgs[i] = s.Subgraph
 	}
-	return mc.Run()
+	return core.RateControl(sgs, opts)
 }
 
 // RunMulti emulates several unicast sessions of one protocol sharing the
 // channel simultaneously — the multiple-unicast scenario of the paper's
 // conclusion. All sessions attach to one event engine and one MAC over the
 // full network, so they genuinely contend for air time; invalid session
-// lists fail with ErrInvalidSession. OMNC sessions get their rates from the
-// joint controller; MORE, OldMORE and ETX contend uncoordinated.
+// lists fail with ErrInvalidSession. The protocol builds its sessions as Run
+// builds one: OMNC solves all N sessions' rates in one joint solve
+// (OptimizeRatesJointly), so a one-session RunMulti agrees with Run; MORE,
+// OldMORE and ETX contend uncoordinated.
 func RunMulti(net *Network, sessions []Endpoints, proto Protocol, cfg SessionConfig) (*MultiStats, error) {
 	return protocol.RunMulti(net, sessions, proto, cfg)
 }

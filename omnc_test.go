@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -169,12 +170,21 @@ func TestMultiUnicastFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joint, err := OptimizeRatesJointly([]MultiSession{{Subgraph: sg}}, RateOptions{Capacity: 2e4})
+	// One session solved jointly is Table 1 exactly, trace included.
+	opts := RateOptions{Capacity: 2e4, RecordTrace: true}
+	joint, err := OptimizeRatesJointly([]MultiSession{{Subgraph: sg}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(joint.PerSession) != 1 || joint.PerSession[0].Gamma <= 0 {
-		t.Fatalf("joint = %+v", joint)
+	solo, err := OptimizeRates(sg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(joint.PerSession) != 1 || joint.PerSession[0].Gamma <= 0 || len(solo.Trace) != solo.Iterations {
+		t.Fatalf("joint = %+v, solo trace %d of %d iterations", joint, len(solo.Trace), solo.Iterations)
+	}
+	if !reflect.DeepEqual(joint.PerSession[0], solo) {
+		t.Fatalf("joint solve of one session differs from OptimizeRates:\n joint %+v\n  solo %+v", joint.PerSession[0], solo)
 	}
 	cs, err := RunMulti(nw, []Endpoints{{Src: 0, Dst: 3}}, OMNC(RateOptions{}), fastSession(22))
 	if err != nil {
@@ -182,6 +192,9 @@ func TestMultiUnicastFacade(t *testing.T) {
 	}
 	if cs.AggregateThroughput <= 0 {
 		t.Fatal("multi facade delivered nothing")
+	}
+	if st := cs.PerSession[0]; st.RateIterations <= 0 || st.Gamma <= 0 {
+		t.Fatalf("RunMulti OMNC reports no optimizer metadata: gamma %v, %d iterations", st.Gamma, st.RateIterations)
 	}
 }
 
